@@ -144,7 +144,10 @@ func BenchmarkHybrid100k(b *testing.B) {
 // the full r-HUMO loop — GP fit, rarest-risk-first batch scheduling, the
 // per-batch posterior re-estimation and certified-bound rescans — on a
 // 100k-pair workload. scripts/bench_gate.sh fails a PR when its mean ns/op
-// regresses by more than 20% against the base commit.
+// regresses by more than 20% against the base commit. The Student-t
+// critical values come from the process-wide stats.TTable, so iterations
+// after the first read a warm table; the cold fill is measured on its own
+// by internal/stats' BenchmarkTwoSidedTTable/cold.
 func BenchmarkRiskSchedule(b *testing.B) {
 	w, truth := benchWorkload(b, 100000)
 	req := humo.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}
@@ -163,7 +166,9 @@ func BenchmarkRiskSchedule(b *testing.B) {
 // error posteriors, the riskiest-first batch schedule with per-batch
 // re-estimation, and the stratified certificate rescans, run to
 // certification. scripts/bench_gate.sh fails a PR when its mean ns/op
-// regresses by more than 20% against the base commit.
+// regresses by more than 20% against the base commit. As in
+// BenchmarkRiskSchedule, iterations after the first read a warm
+// critical-value table.
 func BenchmarkCorrectSchedule(b *testing.B) {
 	w, truth := benchWorkload(b, 100000)
 	req := humo.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}

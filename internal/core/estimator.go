@@ -36,6 +36,7 @@ type strataEstimator struct {
 	// estimate, degrees of freedom and population pairs.
 	mean, vari, df []float64
 	pairs          []int
+	crit           stats.CritValues // Student-t critical values of interval
 }
 
 func newStrataEstimator(strata []stats.Stratum) (*strataEstimator, error) {
@@ -86,7 +87,7 @@ func (e *strataEstimator) interval(a, bEx int, theta float64) (lo, hi float64, e
 		df = 1
 	}
 	pop := float64(e.pairs[bEx] - e.pairs[a])
-	crit, err := stats.TwoSidedT(theta, df)
+	crit, err := e.crit.T(theta, df)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -140,9 +141,10 @@ func clampCount(lo, hi, pop float64) (float64, float64, error) {
 // upper-bound scan uses a single lower bound).
 //
 // Interval queries are safe for concurrent use: prefixInterval and
-// suffixInterval only read precomputed state, and midInterval guards its
-// lazily rebuilt cache with a mutex. For best performance still prefer one
-// estimator per goroutine — concurrent midInterval queries with different
+// suffixInterval only read precomputed state and the (concurrency-safe)
+// critical-value tables, and midInterval guards its lazily rebuilt cache
+// with a mutex. For best performance still prefer one estimator per
+// goroutine — concurrent midInterval queries with different
 // lower bounds thrash the shared cache (correct, but repeatedly rebuilt).
 type gpEstimator struct {
 	reg      *gp.Regressor
@@ -168,6 +170,8 @@ type gpEstimator struct {
 	midMu  sync.Mutex // guards midLo and midVar
 	midLo  int        // lower bound the mid cache is built for (-1 = none)
 	midVar []float64
+
+	crit stats.CritValues // Student-t critical values of clusterInterval
 }
 
 // newGPEstimator builds the range estimator. bandVar is the estimated
@@ -351,7 +355,7 @@ func (e *gpEstimator) clusterInterval(a, bEx int, theta float64) (lo, hi float64
 		s2 = 0
 	}
 	pop := e.prefPairs[bEx] - e.prefPairs[a]
-	crit, err := stats.TwoSidedT(theta, k-1)
+	crit, err := e.crit.T(theta, k-1)
 	if err != nil {
 		return 0, 0, false, err
 	}

@@ -106,40 +106,11 @@ type riskEstimator struct {
 	gMean, gVar, gPairs      []float64 // GP part (unanswered subsets)
 	gMonoLo, gMonoHi         []float64 // monotone envelope of the GP part
 
-	// Critical-value memos: the bound rescans after every answered batch
-	// evaluate O(m) intervals, and the Student-t quantile dominates their
-	// cost (it is an iterative special function). Both quantiles depend
-	// only on (theta, df), which recur across rescans.
-	tCache map[critKey]float64
-	zCache map[float64]float64
-}
-
-// critKey keys the Student-t critical-value memo.
-type critKey struct{ theta, df float64 }
-
-func (e *riskEstimator) tCrit(theta, df float64) (float64, error) {
-	k := critKey{theta, df}
-	if v, ok := e.tCache[k]; ok {
-		return v, nil
-	}
-	v, err := stats.TwoSidedT(theta, df)
-	if err != nil {
-		return 0, err
-	}
-	e.tCache[k] = v
-	return v, nil
-}
-
-func (e *riskEstimator) zCrit(theta float64) (float64, error) {
-	if v, ok := e.zCache[theta]; ok {
-		return v, nil
-	}
-	v, err := stats.TwoSidedZ(theta)
-	if err != nil {
-		return 0, err
-	}
-	e.zCache[theta] = v
-	return v, nil
+	// crit holds the shared critical-value tables: the bound rescans after
+	// every answered batch evaluate O(m) intervals, and the Student-t
+	// quantile (an iterative special function) would otherwise dominate
+	// their cost.
+	crit stats.CritValues
 }
 
 func newRiskEstimator(w *Workload, model *gpModel, sched *risk.Scheduler, req Requirement) *riskEstimator {
@@ -153,8 +124,6 @@ func newRiskEstimator(w *Workload, model *gpModel, sched *risk.Scheduler, req Re
 		gMean: make([]float64, m+1), gVar: make([]float64, m+1),
 		gPairs:  make([]float64, m+1),
 		gMonoLo: make([]float64, m+1), gMonoHi: make([]float64, m+1),
-		tCache: make(map[critKey]float64),
-		zCache: make(map[float64]float64),
 	}
 }
 
@@ -255,7 +224,7 @@ func (e *riskEstimator) interval(a, bEx int, theta float64) (lo, hi float64, err
 		if df < 1 {
 			df = 1
 		}
-		crit, err := e.tCrit(theta, df)
+		crit, err := e.crit.T(theta, df)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -268,7 +237,7 @@ func (e *riskEstimator) interval(a, bEx int, theta float64) (lo, hi float64, err
 	var gLo, gHi float64
 	if gPairs := e.gPairs[bEx] - e.gPairs[a]; gPairs > 0 {
 		mean := e.gMean[bEx] - e.gMean[a]
-		z, err := e.zCrit(theta)
+		z, err := e.crit.Z(theta)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -287,7 +256,7 @@ func (e *riskEstimator) interval(a, bEx int, theta float64) (lo, hi float64, err
 			if s2 < 0 {
 				s2 = 0
 			}
-			crit, err := e.tCrit(theta, k-1)
+			crit, err := e.crit.T(theta, k-1)
 			if err != nil {
 				return 0, 0, err
 			}

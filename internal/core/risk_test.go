@@ -91,6 +91,9 @@ func (r *recordingOracle) LabelAll(ids []int) []bool {
 // TestRiskScheduleDeterministic pins the determinism contract: on the
 // seeded DS-like workload the full schedule — every oracle batch in order —
 // and the solution are bit-identical across runs and across worker counts.
+// The critical-value tables are shared process-wide, so the first run may
+// fill them cold while every later run reads them warm: the comparison is
+// also a cold-vs-warm equivalence check.
 func TestRiskScheduleDeterministic(t *testing.T) {
 	w, truthMap, _ := dsBundle(t)
 	req := core.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}

@@ -132,6 +132,9 @@ type Corrector struct {
 	pend     map[int]pending // handed-out pairs awaiting answers
 	answers  map[int]bool    // human answers by id
 	verified []int           // ids in answer order
+	matches  int             // human answers that are matches
+
+	crit stats.CritValues // Student-t critical values of groupBound
 }
 
 // New builds a corrector over the pair-id universe. labeled holds the
@@ -337,6 +340,9 @@ func (c *Corrector) Observe(id int, match bool) {
 	delete(c.pend, id)
 	c.answers[id] = match
 	c.verified = append(c.verified, id)
+	if match {
+		c.matches++
+	}
 	if p.stratum < 0 {
 		c.uncSeen++
 		return
@@ -388,7 +394,7 @@ func (c *Corrector) groupBound(match bool, thetaQ float64) (wrongHi float64, unv
 		if df < 1 {
 			df = 1
 		}
-		crit, err := stats.TwoSidedT(thetaQ, df)
+		crit, err := c.crit.T(thetaQ, df)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -424,15 +430,10 @@ func (c *Corrector) Certify(theta float64) (Certificate, error) {
 			return Certificate{}, err
 		}
 	}
-	declared := 0
-	for _, m := range c.answers {
-		if m {
-			declared++
-		}
-	}
-	// Unverified pairs keep their machine label; only match-group ones are
-	// declared matches, and only they can hurt precision.
-	declared += uMatch
+	// Verified pairs carry the human answer. Unverified pairs keep their
+	// machine label; only match-group ones are declared matches, and only
+	// they can hurt precision.
+	declared := c.matches + uMatch
 	precisionLo := 1.0
 	if declared > 0 {
 		precisionLo = (float64(declared) - wrongMatchHi) / float64(declared)

@@ -181,6 +181,57 @@ func TestCorrectorScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestCertificateDeclaredMatchesRecount pins the running match counter
+// behind Certificate.DeclaredMatches: after every batch it must equal a
+// recount of the corrected labels of the verified pairs plus the unverified
+// pairs of the match group, through full verification (uncovered pairs
+// included).
+func TestCertificateDeclaredMatchesRecount(t *testing.T) {
+	universe, truth, labeled := synthetic(600, 7, 9)
+	var covered []Labeled
+	for _, l := range labeled {
+		if l.ID%50 != 0 {
+			covered = append(covered, l)
+		}
+	}
+	c, err := New(universe, covered, Config{Rand: rand.New(rand.NewSource(2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for batch := 0; ; batch++ {
+		cert, err := c.Certify(0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verified := make(map[int]bool)
+		want := 0
+		for _, id := range c.VerifiedIDs() {
+			verified[id] = true
+			if c.Label(id) {
+				want++
+			}
+		}
+		for _, l := range covered {
+			if l.Match && !verified[l.ID] {
+				want++
+			}
+		}
+		if cert.DeclaredMatches != want {
+			t.Fatalf("batch %d: DeclaredMatches %d, recount %d", batch, cert.DeclaredMatches, want)
+		}
+		ids := c.NextBatch(0)
+		if len(ids) == 0 {
+			break
+		}
+		for _, id := range ids {
+			c.Observe(id, truth[id])
+		}
+	}
+	if c.Answered() != len(universe) {
+		t.Fatalf("answered %d of %d", c.Answered(), len(universe))
+	}
+}
+
 func TestCorrectorBatchLimit(t *testing.T) {
 	universe, _, labeled := synthetic(400, 10, 6)
 	c, err := New(universe, labeled, Config{Rand: rand.New(rand.NewSource(8))})

@@ -1,8 +1,9 @@
 // Package stats provides the statistical machinery HUMO's sampling-based
-// optimizers rely on: normal and Student-t quantiles, the regularized
-// incomplete beta function, and stratified random-sampling estimators in the
-// style of Cochran (Sampling Techniques, 3rd ed.), which the paper cites for
-// its error-margin computation (Eq. 12).
+// optimizers rely on: normal and Student-t quantiles (with a process-wide,
+// bit-identical table of Student-t critical values, TTableFor), the
+// regularized incomplete beta function, and stratified random-sampling
+// estimators in the style of Cochran (Sampling Techniques, 3rd ed.), which
+// the paper cites for its error-margin computation (Eq. 12).
 package stats
 
 import (
@@ -57,6 +58,19 @@ func RegIncBeta(a, b, x float64) (float64, error) {
 	if x < 0 || x > 1 {
 		return 0, fmt.Errorf("%w: RegIncBeta x=%v must be in [0,1]", ErrBadParam, x)
 	}
+	return regIncBeta(a, b, x, lnBeta(a, b))
+}
+
+// lnBeta is ln B(a, b), the log of the complete beta function.
+func lnBeta(a, b float64) float64 {
+	return LnGamma(a) + LnGamma(b) - LnGamma(a+b)
+}
+
+// regIncBeta is RegIncBeta for validated a, b, x with ln B(a, b)
+// precomputed by lnBeta, so a caller evaluating many x at fixed (a, b) —
+// StudentTQuantile's bisection — pays the three log-gamma calls once. The
+// result is bit-identical to RegIncBeta's.
+func regIncBeta(a, b, x, lnB float64) (float64, error) {
 	switch x {
 	case 0:
 		return 0, nil
@@ -64,8 +78,7 @@ func RegIncBeta(a, b, x float64) (float64, error) {
 		return 1, nil
 	}
 	// Prefactor x^a (1-x)^b / (a B(a,b)).
-	lnBeta := LnGamma(a) + LnGamma(b) - LnGamma(a+b)
-	front := math.Exp(a*math.Log(x) + b*math.Log(1-x) - lnBeta)
+	front := math.Exp(a*math.Log(x) + b*math.Log(1-x) - lnB)
 	// Use the symmetry relation to keep the continued fraction convergent.
 	if x < (a+1)/(a+b+2) {
 		cf, err := betaCF(a, b, x)
@@ -144,8 +157,16 @@ func StudentTCDF(t, df float64) (float64, error) {
 	if math.IsInf(t, -1) {
 		return 0, nil
 	}
+	return studentTCDF(t, df, lnBeta(df/2, 0.5))
+}
+
+// studentTCDF is StudentTCDF for finite t and df > 0, with the incomplete
+// beta function's ln B(df/2, 1/2) precomputed by the caller.
+func studentTCDF(t, df, lnB float64) (float64, error) {
+	// x is in (0, 1] for finite t and df > 0, so RegIncBeta's domain checks
+	// cannot fire.
 	x := df / (df + t*t)
-	ib, err := RegIncBeta(df/2, 0.5, x)
+	ib, err := regIncBeta(df/2, 0.5, x, lnB)
 	if err != nil {
 		return 0, err
 	}
@@ -180,9 +201,10 @@ func StudentTQuantile(p, df float64) (float64, error) {
 	if lo < 0 {
 		lo = 0
 	}
+	lnB := lnBeta(df/2, 0.5) // fixed across every CDF evaluation below
 	hi := lo + 1
 	for {
-		c, err := StudentTCDF(hi, df)
+		c, err := studentTCDF(hi, df, lnB)
 		if err != nil {
 			return 0, err
 		}
@@ -196,7 +218,7 @@ func StudentTQuantile(p, df float64) (float64, error) {
 	}
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		c, err := StudentTCDF(mid, df)
+		c, err := studentTCDF(mid, df, lnB)
 		if err != nil {
 			return 0, err
 		}
@@ -216,6 +238,10 @@ func StudentTQuantile(p, df float64) (float64, error) {
 // P(-t~ < T < t~) = theta for df degrees of freedom. This is the
 // t_(1-theta, d.f.) factor of Eq. 12 in the paper. Very large df fall back
 // to the normal critical value.
+//
+// Every call runs the quantile bisection afresh. Hot paths read the same
+// bits from TTableFor(theta), which memoises integral 1 <= df <=
+// TTableMaxDF and computes any other df through this function.
 func TwoSidedT(theta, df float64) (float64, error) {
 	if !(theta > 0 && theta < 1) {
 		return 0, fmt.Errorf("%w: confidence theta=%v must be in (0,1)", ErrBadParam, theta)
