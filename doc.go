@@ -288,7 +288,8 @@
 //     list is a strict prefix of the next.
 //   - Session.Extend absorbs a candidate delta into a running session
 //     without restarting it, re-certifying only the strata the new pairs
-//     touch. Extending a canceled or terminated session returns
+//     touch. The delta is sorted alone and merged into the sorted
+//     workload (Workload.Extend), never re-sorted with it. Extending a canceled or terminated session returns
 //     ErrSessionDone with the answered-label log intact; extending with
 //     zero new candidates is a no-op.
 //

@@ -290,20 +290,22 @@ func (iw *IncrementalWorkload) Sync(ctx context.Context) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	iw.lenA, iw.lenB = iw.ta.Len(), iw.tb.Len()
 	base := len(iw.g.Candidates)
-	cands := append(iw.g.Candidates, delta...)
-	g, err := buildGenerated(cands, iw.subsetSize)
-	if err != nil {
-		return nil, err
-	}
-	iw.g = g
-	iw.chain = append(iw.chain, g.Fingerprint)
-	iw.bounds = append(iw.bounds, len(cands))
 	out := make([]Pair, len(delta))
 	for i, c := range delta {
 		out[i] = Pair{ID: base + i, Sim: c.Sim}
 	}
+	// Merge the delta into the sorted workload instead of re-sorting the
+	// union; the fingerprint still hashes the whole cumulative workload.
+	w, err := iw.g.Workload.Extend(out)
+	if err != nil {
+		return nil, err
+	}
+	iw.lenA, iw.lenB = iw.ta.Len(), iw.tb.Len()
+	cands := append(iw.g.Candidates, delta...)
+	iw.g = &GeneratedWorkload{Candidates: cands, Workload: w, Fingerprint: WorkloadFingerprint(w)}
+	iw.chain = append(iw.chain, iw.g.Fingerprint)
+	iw.bounds = append(iw.bounds, len(cands))
 	return out, nil
 }
 

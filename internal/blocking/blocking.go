@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"humo/internal/records"
@@ -122,8 +123,9 @@ type Scorer struct {
 	repB    []colRep
 	// blockTok holds the sorted distinct token-id lists of every attribute
 	// shared by both tables, keyed by attribute name — the precomputed form
-	// every blocking strategy reads. Building it eagerly makes the scorer
-	// immutable after construction, so Generate is safe for concurrent use.
+	// every blocking strategy reads. Building it eagerly means Generate never
+	// mutates the scorer, so it is safe for concurrent use; only extend
+	// grows it.
 	blockTok map[string]blockCols
 }
 
@@ -136,9 +138,10 @@ type blockCols struct {
 // NewScorer validates the specs against both tables and preprocesses every
 // record — including the token sets of every attribute both tables share,
 // so any blocking attribute is ready up front. Weights must be non-negative
-// with positive sum; they are normalized. The returned scorer is never
-// mutated afterwards: Score, ScoreWith (with per-goroutine scratch) and
-// Generate are all safe for concurrent use.
+// with positive sum; they are normalized. Score, ScoreWith (with
+// per-goroutine scratch) and Generate are all safe for concurrent use; the
+// only mutation is Incremental.Sync extending the scorer over appended
+// records, which must be serialized with every other use.
 func NewScorer(ta, tb *records.Table, specs []AttributeSpec) (*Scorer, error) {
 	if err := ta.Validate(); err != nil {
 		return nil, err
@@ -188,9 +191,16 @@ func NewScorer(ta, tb *records.Table, specs []AttributeSpec) (*Scorer, error) {
 // tables, reusing the representations the specs already interned (Jaccard
 // token sets verbatim; Cosine term-frequency ids, which are the same sorted
 // distinct id lists). Eager construction here is what makes concurrent
-// Generate calls race-free: the dictionary is never extended after
-// NewScorer returns.
+// Generate calls race-free: the dictionary only grows inside extend, which
+// Incremental.Sync serializes with every other use of the scorer.
+//
+// Called again after the spec representations were extended, it brings
+// every column up to the tables' current length, interning only the
+// records past each column's previous end. The interning order — shared
+// attributes in table-A order, A rows then B rows per attribute — is the
+// order a from-scratch build uses, so token ids come out identical.
 func (s *Scorer) buildBlockTokens() {
+	prev := s.blockTok
 	s.blockTok = make(map[string]blockCols, len(s.ta.Attributes))
 	for _, name := range s.ta.Attributes {
 		colA, err := s.ta.AttributeIndex(name)
@@ -201,16 +211,19 @@ func (s *Scorer) buildBlockTokens() {
 		if err != nil {
 			continue // not shared; blocking on it fails at Generate time
 		}
+		have := prev[name]
 		s.blockTok[name] = blockCols{
-			a: s.tokenColumn(s.ta, colA, s.repA, func(k int) bool { return s.colA[k] == colA }),
-			b: s.tokenColumn(s.tb, colB, s.repB, func(k int) bool { return s.colB[k] == colB }),
+			a: s.tokenColumn(s.ta, colA, s.repA, func(k int) bool { return s.colA[k] == colA }, have.a),
+			b: s.tokenColumn(s.tb, colB, s.repB, func(k int) bool { return s.colB[k] == colB }, have.b),
 		}
 	}
 }
 
 // tokenColumn returns the sorted distinct token ids of one table column,
 // reusing a spec's interned representation when one covers the column.
-func (s *Scorer) tokenColumn(t *records.Table, col int, reps []colRep, covers func(k int) bool) [][]int32 {
+// have is the column as previously built (nil the first time); only the
+// records past its end are converted or interned.
+func (s *Scorer) tokenColumn(t *records.Table, col int, reps []colRep, covers func(k int) bool, have [][]int32) [][]int32 {
 	for k, spec := range s.specs {
 		if !covers(k) {
 			continue
@@ -221,16 +234,16 @@ func (s *Scorer) tokenColumn(t *records.Table, col int, reps []colRep, covers fu
 		case KindCosine:
 			// TFVec.IDs are sorted distinct ids — the same list InternTokens
 			// would produce.
-			toks := make([][]int32, len(t.Records))
-			for i := range reps[k].tf {
-				toks[i] = reps[k].tf[i].IDs
+			toks := slices.Grow(have, len(reps[k].tf)-len(have))
+			for i := len(toks); i < len(reps[k].tf); i++ {
+				toks = append(toks, reps[k].tf[i].IDs)
 			}
 			return toks
 		}
 	}
-	toks := make([][]int32, len(t.Records))
-	for i, r := range t.Records {
-		toks[i] = s.dict.InternTokens(r.Values[col])
+	toks := slices.Grow(have, len(t.Records)-len(have))
+	for i := len(toks); i < len(t.Records); i++ {
+		toks = append(toks, s.dict.InternTokens(t.Records[i].Values[col]))
 	}
 	return toks
 }
@@ -239,18 +252,16 @@ func (s *Scorer) tokenColumn(t *records.Table, col int, reps []colRep, covers fu
 // records appended to its tables since construction (or since the last
 // extend): new records' columns are interned into the existing dictionary
 // (ids of already-seen tokens are stable, so every old representation keeps
-// meaning exactly what it meant) and the blocking token sets are rebuilt.
-// Appended records are trusted to be schema-valid — Table.Append enforces
-// that. extend mutates the scorer and is not safe to run concurrently with
-// Generate or scoring calls; Incremental serializes it behind Sync.
+// meaning exactly what it meant) and the blocking token sets grow by the
+// new records only. Appended records are trusted to be schema-valid —
+// Table.Append enforces that. extend mutates the scorer and is not safe to
+// run concurrently with Generate or scoring calls; Incremental serializes
+// it behind Sync.
 func (s *Scorer) extend() {
 	for k, spec := range s.specs {
 		s.extendRep(s.ta, s.colA[k], spec.Kind, &s.repA[k])
 		s.extendRep(s.tb, s.colB[k], spec.Kind, &s.repB[k])
 	}
-	// Rebuilding from scratch re-interns old tokens (id-stable, so the
-	// result is identical for existing records) and picks up the new ones;
-	// O(total tokens) per extend keeps this simple and obviously correct.
 	s.buildBlockTokens()
 }
 

@@ -3,6 +3,7 @@ package blocking
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"humo/internal/parallel"
@@ -58,12 +59,22 @@ type Incremental struct {
 	postA [][]int32
 	postB [][]int32
 
-	// ModeLSH state: fixed band seeds, the verification floor, and the
-	// per-band sorted packed (key<<32|record) bucket tables.
-	seeds      []uint64
-	floor      int
-	entA, entB [][]uint64
+	// ModeLSH state: fixed band seeds, the verification floor, and per
+	// band the sorted packed (key<<32|record) bucket table of each side,
+	// kept as a large base plus a small sorted tail of appended entries
+	// (see foldTail).
+	seeds        []uint64
+	floor        int
+	entA, entB   [][]uint64
+	tailA, tailB [][]uint64
 }
+
+// tailFoldRatio bounds a band's tail: once the appended entries outgrow
+// 1/tailFoldRatio of the base they are merged into it. Appends then touch
+// the full table only once per 1/tailFoldRatio growth, so the merge cost
+// is amortized over the entries that caused it, and a probe still costs
+// two binary searches.
+const tailFoldRatio = 8
 
 // NewIncremental runs one from-scratch generation over the scorer's current
 // tables — the returned pairs are bit-identical to Generate(ctx, s, opt) —
@@ -336,6 +347,8 @@ func (inc *Incremental) initLSH(ctx context.Context) error {
 	}
 	inc.entA = make([][]uint64, bands)
 	inc.entB = make([][]uint64, bands)
+	inc.tailA = make([][]uint64, bands)
+	inc.tailB = make([][]uint64, bands)
 	for b := 0; b < bands; b++ {
 		inc.entA[b] = lshBandEntries(tokA, keysA, rows, bands, b, 0, len(tokA))
 		inc.entB[b] = lshBandEntries(tokB, keysB, rows, bands, b, 0, len(tokB))
@@ -343,11 +356,13 @@ func (inc *Incremental) initLSH(ctx context.Context) error {
 	return nil
 }
 
-// deltaLSH sketches only the appended records and joins them through the
+// deltaLSH sketches only the appended records and joins them against the
 // retained band tables: per band, new-A×old-B, new-A×new-B and old-A×new-B
 // — every colliding pair that involves a new record, each verified against
-// the shared-token floor inline. The retained tables are only swapped for
-// their merged successors by the returned commit.
+// the shared-token floor inline. The old sides are probed by binary search
+// per new key (base and tail separately), so a Sync reads only the buckets
+// the new records hash into. The retained tables are only swapped for
+// their grown successors by the returned commit.
 func (inc *Incremental) deltaLSH(ctx context.Context) (cands []uint64, commit func(), err error) {
 	tokA, tokB, err := inc.s.blockTokens(inc.opt.Attribute)
 	if err != nil {
@@ -366,8 +381,9 @@ func (inc *Incremental) deltaLSH(ctx context.Context) (cands []uint64, commit fu
 		return nil, nil, err
 	}
 	type bandDelta struct {
-		pairs            []uint64
-		mergedA, mergedB []uint64
+		pairs        []uint64
+		entA, entB   []uint64
+		tailA, tailB []uint64
 	}
 	outs, err := parallel.Map(inc.opt.Workers, bands, func(b int) (bandDelta, error) {
 		if err := ctx.Err(); err != nil {
@@ -375,12 +391,16 @@ func (inc *Incremental) deltaLSH(ctx context.Context) (cands []uint64, commit fu
 		}
 		na := lshBandEntries(newToksA, keysNewA, rows, bands, b, oldA, len(newToksA))
 		nb := lshBandEntries(newToksB, keysNewB, rows, bands, b, oldB, len(newToksB))
-		oa, ob := inc.entA[b], inc.entB[b]
 		var pairs []uint64
-		pairs = lshJoin(pairs, na, ob, tokA, tokB, inc.floor)
+		pairs = lshProbe(pairs, na, inc.entB[b], true, tokA, tokB, inc.floor)
+		pairs = lshProbe(pairs, na, inc.tailB[b], true, tokA, tokB, inc.floor)
 		pairs = lshJoin(pairs, na, nb, tokA, tokB, inc.floor)
-		pairs = lshJoin(pairs, oa, nb, tokA, tokB, inc.floor)
-		return bandDelta{pairs: pairs, mergedA: mergeSortedU64(oa, na), mergedB: mergeSortedU64(ob, nb)}, nil
+		pairs = lshProbe(pairs, nb, inc.entA[b], false, tokA, tokB, inc.floor)
+		pairs = lshProbe(pairs, nb, inc.tailA[b], false, tokA, tokB, inc.floor)
+		d := bandDelta{pairs: pairs}
+		d.entA, d.tailA = foldTail(inc.entA[b], inc.tailA[b], na)
+		d.entB, d.tailB = foldTail(inc.entB[b], inc.tailB[b], nb)
+		return d, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -395,14 +415,61 @@ func (inc *Incremental) deltaLSH(ctx context.Context) (cands []uint64, commit fu
 	}
 	commit = func() {
 		for b := 0; b < bands; b++ {
-			inc.entA[b] = outs[b].mergedA
-			inc.entB[b] = outs[b].mergedB
+			inc.entA[b], inc.tailA[b] = outs[b].entA, outs[b].tailA
+			inc.entB[b], inc.tailB[b] = outs[b].entB, outs[b].tailB
 		}
 	}
 	return cands, commit, nil
 }
 
-// mergeSortedU64 linearly merges two sorted uint64 slices into a new one.
+// lshProbe joins sorted new entries against one sorted retained table by
+// binary search: for each run of equal keys in probe it locates the
+// table's bucket with that key and merge-joins the two runs through
+// lshJoin. probeIsA says which side probe holds, so emitted candidates
+// stay (A<<32)|B packed. The table is never walked outside the buckets the
+// probe hits.
+func lshProbe(dst, probe, table []uint64, probeIsA bool, tokA, tokB [][]int32, floor int) []uint64 {
+	for x := 0; x < len(probe); {
+		key := probe[x] >> 32
+		x2 := x + 1
+		for x2 < len(probe) && probe[x2]>>32 == key {
+			x2++
+		}
+		lo, _ := slices.BinarySearch(table, key<<32)
+		hi := lo
+		for hi < len(table) && table[hi]>>32 == key {
+			hi++
+		}
+		if hi > lo {
+			if probeIsA {
+				dst = lshJoin(dst, probe[x:x2], table[lo:hi], tokA, tokB, floor)
+			} else {
+				dst = lshJoin(dst, table[lo:hi], probe[x:x2], tokA, tokB, floor)
+			}
+		}
+		x = x2
+	}
+	return dst
+}
+
+// foldTail returns a band table's base and tail after absorbing the sorted
+// new entries: they join the tail, and a tail grown past
+// 1/tailFoldRatio of the base is merged into a fresh base. Neither input
+// slice is modified, so the retained state stays valid until commit.
+func foldTail(base, tail, added []uint64) (newBase, newTail []uint64) {
+	if len(added) == 0 {
+		return base, tail
+	}
+	tail = mergeSortedU64(tail, added)
+	if len(tail)*tailFoldRatio > len(base) {
+		return mergeSortedU64(base, tail), nil
+	}
+	return base, tail
+}
+
+// mergeSortedU64 linearly merges two sorted uint64 slices. It returns one
+// of the inputs unchanged when the other is empty and otherwise a new
+// slice, so it never writes into either input.
 func mergeSortedU64(a, b []uint64) []uint64 {
 	if len(b) == 0 {
 		return a

@@ -10,9 +10,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -92,21 +94,69 @@ func NewWorkload(pairs []Pair, subsetSize int) (*Workload, error) {
 	if subsetSize <= 0 {
 		subsetSize = DefaultSubsetSize
 	}
-	sorted := make([]Pair, len(pairs))
-	copy(sorted, pairs)
+	sorted, err := sortedCopy(pairs, "pair")
+	if err != nil {
+		return nil, err
+	}
+	return newSortedWorkload(sorted, subsetSize), nil
+}
+
+// Extend returns the workload grown by delta, equal pair for pair to
+// NewWorkload over the union with the same subset size; the receiver is
+// left unmodified. Only the delta is sorted: it is merged into the
+// existing order with one binary search per delta pair and one linear
+// copy, so growing a large workload by a few pairs costs a copy, not a
+// re-sort. An empty delta returns the receiver itself. Extend does not
+// check ids for collisions; callers that need distinct ids check them.
+func (w *Workload) Extend(delta []Pair) (*Workload, error) {
+	if len(delta) == 0 {
+		return w, nil
+	}
+	d, err := sortedCopy(delta, "delta pair")
+	if err != nil {
+		return nil, err
+	}
+	merged := make([]Pair, 0, len(w.pairs)+len(d))
+	rest := w.pairs
+	for _, p := range d {
+		k, _ := slices.BinarySearchFunc(rest, p, comparePairs)
+		merged = append(merged, rest[:k]...)
+		merged = append(merged, p)
+		rest = rest[k:]
+	}
+	merged = append(merged, rest...)
+	return newSortedWorkload(merged, w.subsetSize), nil
+}
+
+// comparePairs is the workload order: Sim ascending, then ID. It is a total
+// order on pairs with distinct ids, so every correct sort or merge under it
+// produces the same sequence.
+func comparePairs(a, b Pair) int {
+	switch {
+	case a.Sim < b.Sim:
+		return -1
+	case a.Sim > b.Sim:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// sortedCopy copies pairs, rejects non-finite similarities (what names the
+// pairs in the error) and sorts the copy into workload order.
+func sortedCopy(pairs []Pair, what string) ([]Pair, error) {
+	sorted := slices.Clone(pairs)
 	for i, p := range sorted {
 		if math.IsNaN(p.Sim) || math.IsInf(p.Sim, 0) {
-			return nil, fmt.Errorf("%w: pair %d has non-finite similarity %v", ErrBadWorkload, i, p.Sim)
+			return nil, fmt.Errorf("%w: %s %d has non-finite similarity %v", ErrBadWorkload, what, i, p.Sim)
 		}
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Sim != sorted[j].Sim {
-			return sorted[i].Sim < sorted[j].Sim
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
+	slices.SortFunc(sorted, comparePairs)
+	return sorted, nil
+}
+
+func newSortedWorkload(sorted []Pair, subsetSize int) *Workload {
 	m := (len(sorted) + subsetSize - 1) / subsetSize
-	return &Workload{pairs: sorted, subsetSize: subsetSize, m: m}, nil
+	return &Workload{pairs: sorted, subsetSize: subsetSize, m: m}
 }
 
 // Len returns the total number of pairs.

@@ -427,19 +427,60 @@ func ReadPairs(r io.Reader) ([]core.Pair, error) {
 	return out, nil
 }
 
-// WritePairs writes a workload CSV, the inverse of ReadPairs.
-func WritePairs(w io.Writer, pairs []core.Pair) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"pair_id", "similarity"}); err != nil {
-		return err
-	}
+// pairsHeader is the header row of a workload CSV.
+const pairsHeader = "pair_id,similarity\n"
+
+// AppendPairRows appends the workload-CSV data rows of pairs to dst, one
+// `id,sim` line each with the similarity formatted to round-trip
+// bit-exactly. The bytes are those csv.Writer produces for the same
+// fields: integers and 'g'-formatted floats never need quoting. Callers
+// that rewrite a growing workload keep the formatted rows and append only
+// the new ones (see WritePairRows).
+func AppendPairRows(dst []byte, pairs []core.Pair) []byte {
 	for _, p := range pairs {
-		if err := cw.Write([]string{strconv.Itoa(p.ID), strconv.FormatFloat(p.Sim, 'g', -1, 64)}); err != nil {
+		dst = strconv.AppendInt(dst, int64(p.ID), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendFloat(dst, p.Sim, 'g', -1, 64)
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// WritePairRows writes a workload CSV whose data rows AppendPairRows
+// already formatted: the `# fingerprint:` comment when fingerprint is not
+// empty, the header, then rows verbatim. The output is byte-identical to
+// WritePairsFingerprinted over the same pairs.
+func WritePairRows(w io.Writer, rows []byte, fingerprint string) error {
+	if fingerprint != "" {
+		if err := writeMeta(w, "fingerprint", fingerprint); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if _, err := io.WriteString(w, pairsHeader); err != nil {
+		return err
+	}
+	_, err := w.Write(rows)
+	return err
+}
+
+// WritePairs writes a workload CSV, the inverse of ReadPairs. Rows are
+// formatted and written in chunks, so memory stays bounded for any
+// workload size.
+func WritePairs(w io.Writer, pairs []core.Pair) error {
+	const chunk = 4096 // pairs per write
+	buf := []byte(pairsHeader)
+	for {
+		n := min(chunk, len(pairs))
+		buf = AppendPairRows(buf, pairs[:n])
+		pairs = pairs[n:]
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		if len(pairs) == 0 {
+			return nil
+		}
+		buf = buf[:0]
+	}
 }
 
 // WritePairsFingerprinted writes a workload CSV with its fingerprint folded

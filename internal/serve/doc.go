@@ -62,8 +62,9 @@
 //
 // Ordering is journal-before-apply: an append is fsynced to the journal
 // first, then applied (tables grow, Sync emits the delta and advances the
-// fingerprint chain, the CSV is rewritten, sessions are extended and
-// re-checkpointed at the new epoch). Appends beyond a bounded in-flight
+// fingerprint chain, the CSV is rewritten from cached rows with only the
+// delta newly formatted, sessions are extended and re-checkpointed at the
+// new epoch). Appends beyond a bounded in-flight
 // queue are shed with ErrOverloaded (429). Recovery replays the build
 // journal, then the append journal one Sync epoch per line — reproducing
 // the fingerprint chain bit-identically — and truncates a torn final line

@@ -83,6 +83,25 @@ type workloadState struct {
 	iw     *humo.IncrementalWorkload
 	jr     *appendJournal
 	broken bool
+	// rows caches the formatted CSV data rows of the first rowsN
+	// candidates, so a rewrite formats only the pairs an append added.
+	rows  []byte
+	rowsN int
+}
+
+// writeCSV atomically rewrites the workload CSV at the chain head. The
+// pairs are the candidates in id order and every epoch's candidates are a
+// prefix of the next's, so only the rows past the cache are formatted; the
+// bytes are those of dataio.WritePairsFingerprinted over the whole list.
+func (ws *workloadState) writeCSV() error {
+	cands := ws.iw.Generated().Candidates
+	for i := ws.rowsN; i < len(cands); i++ {
+		ws.rows = dataio.AppendPairRows(ws.rows, []humo.Pair{{ID: i, Sim: cands[i].Sim}})
+	}
+	ws.rowsN = len(cands)
+	return dataio.WriteFileAtomic(ws.path, func(w io.Writer) error {
+		return dataio.WritePairRows(w, ws.rows, ws.iw.Fingerprint())
+	})
 }
 
 // appendJournalVersion versions the append journal line format.
@@ -372,31 +391,35 @@ func (ws *workloadState) applyLocked(m *Manager, recsA, recsB []records.Record) 
 	// Background context: the apply is pure computation and must not be
 	// torn mid-epoch by a client disconnect — the journal line is already
 	// durable.
+	start := time.Now()
 	delta, err := ws.iw.Sync(context.Background())
 	if err != nil {
 		return AppendInfo{}, 0, err
 	}
-	core := ws.iw.Generated().CorePairs()
+	m.metrics.Histogram("ingest_sync_latency").Observe(time.Since(start))
 	// The CSV rewrite is a convenience copy for session creation: the
 	// journal is the durable record, and recovery regenerates a stale CSV,
 	// so a failed rewrite degrades freshness, not durability.
-	if err := dataio.WriteFileAtomic(ws.path, func(w io.Writer) error {
-		return dataio.WritePairsFingerprinted(w, core, ws.iw.Fingerprint())
-	}); err != nil {
+	start = time.Now()
+	if err := ws.writeCSV(); err != nil {
 		m.metrics.Counter("ingest_csv_rewrite_failures_total").Inc()
 	}
+	m.metrics.Histogram("ingest_csv_latency").Observe(time.Since(start))
+	cands := ws.iw.Generated().Candidates
 	extended := 0
 	for _, s := range m.List() {
 		if s.Spec().WorkloadFile != ws.file {
 			continue
 		}
-		ok, err := s.catchUp(core)
+		start = time.Now()
+		ok, err := s.catchUp(cands)
 		if err != nil {
 			m.metrics.Counter("ingest_extend_failures_total").Inc()
 			continue
 		}
 		if ok {
 			extended++
+			m.metrics.Histogram("ingest_extend_latency").Observe(time.Since(start))
 		}
 	}
 	return AppendInfo{
@@ -406,7 +429,7 @@ func (ws *workloadState) applyLocked(m *Manager, recsA, recsB []records.Record) 
 		RecordsB:         len(recsB),
 		Epoch:            ws.iw.Epoch(),
 		NewPairs:         len(delta),
-		TotalPairs:       len(core),
+		TotalPairs:       len(cands),
 		Fingerprint:      ws.iw.Fingerprint(),
 		SessionsExtended: extended,
 	}, extended, nil
@@ -434,21 +457,26 @@ func rowsToRecords(rows [][]string, t *records.Table) ([]records.Record, error) 
 }
 
 // catchUp brings a session on this workload file to the current epoch:
-// core is the cumulative pair list, and because every session workload
-// built from the file is a prefix of it (the pairs-prefix property of the
-// incremental generator), the missing pairs are exactly core[len:]. It
-// extends the session, updates the managed snapshot, and rewrites the base
-// checkpoint so the persisted chain matches the extension. A session that
-// already terminated is left at its epoch (false, nil) — its resolution
-// covered the workload it was asked about.
-func (s *ManagedSession) catchUp(core []humo.Pair) (bool, error) {
+// cands is the cumulative candidate list (pair id = candidate index), and
+// because every session workload built from the file is a prefix of it
+// (the pairs-prefix property of the incremental generator), the missing
+// pairs are exactly those of cands[len:]. It extends the session, updates
+// the managed snapshot, and rewrites the base checkpoint so the persisted
+// chain matches the extension. A session that already terminated is left
+// at its epoch (false, nil) — its resolution covered the workload it was
+// asked about.
+func (s *ManagedSession) catchUp(cands []humo.Candidate) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.sess.Workload().Len()
-	if n >= len(core) {
+	if n >= len(cands) {
 		return false, nil
 	}
-	if err := s.sess.Extend(core[n:]); err != nil {
+	missing := make([]humo.Pair, len(cands)-n)
+	for i := range missing {
+		missing[i] = humo.Pair{ID: n + i, Sim: cands[n+i].Sim}
+	}
+	if err := s.sess.Extend(missing); err != nil {
 		if errors.Is(err, humo.ErrSessionDone) {
 			return false, nil
 		}
@@ -545,9 +573,7 @@ func (m *Manager) recoverWorkload(name, buildPath string) error {
 		stale = rerr != nil || fp != ws.iw.Fingerprint()
 	}
 	if stale {
-		if err := dataio.WriteFileAtomic(ws.path, func(w io.Writer) error {
-			return dataio.WritePairsFingerprinted(w, ws.iw.Generated().CorePairs(), ws.iw.Fingerprint())
-		}); err != nil {
+		if err := ws.writeCSV(); err != nil {
 			return err
 		}
 	}
@@ -640,14 +666,14 @@ func (m *Manager) recoveryWorkload(id string, spec Spec) (*humo.Workload, *workl
 // ErrSessionDone too), while a session that parks asking for labels is
 // extended through the epochs appended after its checkpoint.
 func (s *ManagedSession) settleRecovered(ws *workloadState) error {
-	core := ws.iw.Generated().CorePairs()
-	if s.sess.Workload().Len() >= len(core) {
+	cands := ws.iw.Generated().Candidates
+	if s.sess.Workload().Len() >= len(cands) {
 		return nil
 	}
 	b, err := s.sess.Next(context.Background())
 	if err != nil || b.Empty() {
 		return nil
 	}
-	_, err = s.catchUp(core)
+	_, err = s.catchUp(cands)
 	return err
 }

@@ -180,7 +180,7 @@ func (m *Manager) BuildWorkload(ctx context.Context, req WorkloadRequest) (Workl
 	}
 	defer m.releaseWorkload(req.Name)
 	if req.incrementalCapable() {
-		return m.buildLiveWorkload(ctx, req, file, path)
+		return m.buildLiveWorkload(ctx, req, file)
 	}
 	ta, err := req.TableA.table("a")
 	if err != nil {
@@ -225,7 +225,7 @@ func (m *Manager) BuildWorkload(ctx context.Context, req WorkloadRequest) (Workl
 // chain, the build request is journaled before the CSV (so a crash between
 // the two is recovered by regenerating the CSV from the request), and the
 // live state is registered for ingest.
-func (m *Manager) buildLiveWorkload(ctx context.Context, req WorkloadRequest, file, path string) (WorkloadInfo, error) {
+func (m *Manager) buildLiveWorkload(ctx context.Context, req WorkloadRequest, file string) (WorkloadInfo, error) {
 	ws, err := m.newWorkloadState(ctx, req.Name, req)
 	if err != nil {
 		return WorkloadInfo{}, err
@@ -237,9 +237,7 @@ func (m *Manager) buildLiveWorkload(ctx context.Context, req WorkloadRequest, fi
 	}); err != nil {
 		return WorkloadInfo{}, err
 	}
-	if err := dataio.WriteFileAtomic(path, func(w io.Writer) error {
-		return dataio.WritePairsFingerprinted(w, ws.iw.Generated().CorePairs(), ws.iw.Fingerprint())
-	}); err != nil {
+	if err := ws.writeCSV(); err != nil {
 		// Without the CSV the build failed from the client's view; drop the
 		// build journal so a restart does not resurrect a workload the
 		// client was told does not exist.

@@ -599,22 +599,11 @@ func (s *Session) Extend(newPairs []Pair) error {
 		s.mu.Unlock()
 		return ErrSessionDone
 	}
-	existing := make(map[int]struct{}, s.w.Len()+len(newPairs))
-	merged := make([]Pair, 0, s.w.Len()+len(newPairs))
-	for i := 0; i < s.w.Len(); i++ {
-		p := s.w.Pair(i)
-		existing[p.ID] = struct{}{}
-		merged = append(merged, p)
+	if id, dup := duplicateID(s.w, newPairs); dup {
+		s.mu.Unlock()
+		return fmt.Errorf("humo: Extend pair id %d already in the workload", id)
 	}
-	for _, p := range newPairs {
-		if _, dup := existing[p.ID]; dup {
-			s.mu.Unlock()
-			return fmt.Errorf("humo: Extend pair id %d already in the workload", p.ID)
-		}
-		existing[p.ID] = struct{}{}
-		merged = append(merged, p)
-	}
-	w, err := NewWorkload(merged, s.w.SubsetSize())
+	w, err := s.w.Extend(newPairs)
 	if err != nil {
 		s.mu.Unlock()
 		return err
@@ -632,6 +621,39 @@ func (s *Session) Extend(newPairs []Pair) error {
 	// the search unwinds into a restart, parked Next calls re-snapshot.
 	close(oldExtendCh)
 	return nil
+}
+
+// duplicateID reports the first pair of delta, in delta order, whose id is
+// already taken by the workload or by an earlier delta pair. It indexes only
+// the delta and scans the workload's ids against it, so the cost is one
+// pass over the workload and no workload-sized allocation; ids outside the
+// delta's id range (all of them, for deltas that continue a numbering)
+// skip the lookup.
+func duplicateID(w *Workload, delta []Pair) (int, bool) {
+	first := make(map[int]int, len(delta)) // id -> first delta position
+	hit := len(delta)                      // earliest colliding delta position
+	lo, hi := delta[0].ID, delta[0].ID
+	for i, p := range delta {
+		if _, dup := first[p.ID]; dup {
+			hit = i
+			break
+		}
+		first[p.ID] = i
+		lo, hi = min(lo, p.ID), max(hi, p.ID)
+	}
+	for i := 0; i < w.Len(); i++ {
+		id := w.Pair(i).ID
+		if id < lo || id > hi {
+			continue
+		}
+		if k, ok := first[id]; ok && k < hit {
+			hit = k
+		}
+	}
+	if hit == len(delta) {
+		return 0, false
+	}
+	return delta[hit].ID, true
 }
 
 // Run drives the session to termination with a Labeler: the batch loop of
@@ -865,7 +887,9 @@ func (s *Session) Checkpoint(w io.Writer) error {
 	// Workload and chain must be snapshotted under the same lock as the
 	// label log: an Extend between the two would pair epoch-N labels with an
 	// epoch-N+1 fingerprint and the checkpoint would never verify.
-	wl := s.w
+	// The chain's last element is the current workload's fingerprint (Extend
+	// and restore both keep it so), which spares an O(pairs) rehash.
+	wl, hash := s.w, s.chain[len(s.chain)-1]
 	var chain []string
 	if len(s.chain) > 1 {
 		chain = append([]string(nil), s.chain...)
@@ -885,7 +909,7 @@ func (s *Session) Checkpoint(w io.Writer) error {
 		ConfigHash:    configFingerprint(s.cfg),
 		WorkloadPairs: wl.Len(),
 		SubsetSize:    wl.SubsetSize(),
-		WorkloadHash:  workloadFingerprint(wl),
+		WorkloadHash:  hash,
 		WorkloadChain: chain,
 		Labels:        entries,
 	})

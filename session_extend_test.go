@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"humo"
@@ -318,6 +319,45 @@ func TestSessionExtendCheckpointRestore(t *testing.T) {
 	for i := range gotL {
 		if gotL[i] != wantL[i] {
 			t.Fatalf("restored resolution diverges at sorted position %d", i)
+		}
+	}
+}
+
+// TestSessionExtendDuplicateIDReported: the duplicate-id check names the
+// first offending delta pair in delta order, whether it repeats an earlier
+// delta pair or a workload pair, and a refused Extend leaves the session's
+// workload untouched.
+func TestSessionExtendDuplicateIDReported(t *testing.T) {
+	static, delta, _ := extendFixture(t)
+	req := humo.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}
+	cfg := humo.SessionConfig{Method: humo.MethodBase, Base: humo.BaseConfig{StartSubset: -1}}
+	staticW, err := humo.NewWorkload(static, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := humo.NewSession(staticW, req, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel()
+	cases := []struct {
+		name  string
+		pairs []humo.Pair
+		id    int
+	}{
+		{"inside delta", []humo.Pair{delta[0], delta[1], delta[0], static[5]}, delta[0].ID},
+		{"against workload", []humo.Pair{delta[0], static[7], delta[1], static[2]}, static[7].ID},
+		{"workload before delta repeat", []humo.Pair{delta[0], static[3], delta[0]}, static[3].ID},
+		{"delta repeat before workload", []humo.Pair{delta[2], delta[2], static[9]}, delta[2].ID},
+	}
+	for _, c := range cases {
+		err := s.Extend(c.pairs)
+		want := fmt.Sprintf("humo: Extend pair id %d already in the workload", c.id)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: Extend error %v, want %q", c.name, err, want)
+		}
+		if got := s.Workload(); got != staticW || s.Epoch() != 0 {
+			t.Fatalf("%s: refused Extend changed the workload (epoch %d)", c.name, s.Epoch())
 		}
 	}
 }
