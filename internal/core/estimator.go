@@ -171,20 +171,22 @@ type gpEstimator struct {
 	midLo  int        // lower bound the mid cache is built for (-1 = none)
 	midVar []float64
 
-	crit stats.CritValues // Student-t critical values of clusterInterval
+	// crit holds the critical values of every interval query: Student-t
+	// for clusterInterval, normal for intervalFrom.
+	crit stats.CritValues
 }
 
-// newGPEstimator builds the range estimator. bandVar is the estimated
-// between-subset irregularity variance of the true proportions around the
-// smooth curve (sigma^2 in the paper's synthetic generator), measured from
-// adjacent-anchor residuals; it enters the independent aggregation as an
-// extra per-subset variance term.
-// newGPEstimator builds the range estimator. strata holds the sampled
-// (censused) subsets by index: they double as a cluster sample whose range
-// means are unbiased even when matches are bursty — a regime where a smooth
-// GP systematically flattens rare positive observations into the noise.
-// Interval queries return the outer hull of the GP interval and the
-// cluster-sample interval.
+// newGPEstimator builds the range estimator. Interval queries return the
+// outer hull of the GP interval and the cluster-sample interval:
+//   - bandVar is the estimated between-subset irregularity variance of the
+//     true proportions around the smooth curve (sigma^2 in the paper's
+//     synthetic generator), measured from adjacent-anchor residuals; it
+//     enters the independent aggregation as an extra per-subset variance
+//     term.
+//   - strata holds the sampled (censused) subsets by index: they double as
+//     a cluster sample whose range means are unbiased even when matches are
+//     bursty — a regime where a smooth GP systematically flattens rare
+//     positive observations into the noise.
 //
 // workers bounds the goroutines of the coherent O(m²) variance precomputes;
 // <= 0 selects GOMAXPROCS. The result is bit-identical for every worker
@@ -380,7 +382,7 @@ func (e *gpEstimator) hullInterval(gLo, gHi float64, a, bEx int, theta float64) 
 }
 
 func (e *gpEstimator) intervalFrom(mean, vari, pop, theta float64) (float64, float64, error) {
-	z, err := stats.TwoSidedZ(theta)
+	z, err := e.crit.Z(theta)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -105,6 +105,9 @@ type riskEstimator struct {
 	sMean, sVar, sPairs, sDF []float64 // stratified part (answered subsets)
 	gMean, gVar, gPairs      []float64 // GP part (unanswered subsets)
 	gMonoLo, gMonoHi         []float64 // monotone envelope of the GP part
+	// Per-subset envelope rates (running best lower / worst upper anchor
+	// rate), scratch of refresh() kept across batches.
+	rateLo, rateHi []float64
 
 	// crit holds the shared critical-value tables: the bound rescans after
 	// every answered batch evaluate O(m) intervals, and the Student-t
@@ -124,6 +127,7 @@ func newRiskEstimator(w *Workload, model *gpModel, sched *risk.Scheduler, req Re
 		gMean: make([]float64, m+1), gVar: make([]float64, m+1),
 		gPairs:  make([]float64, m+1),
 		gMonoLo: make([]float64, m+1), gMonoHi: make([]float64, m+1),
+		rateLo: make([]float64, m), rateHi: make([]float64, m),
 	}
 }
 
@@ -143,30 +147,36 @@ func (e *riskEstimator) refresh() {
 	// estimate overshoots half the time, and the envelope multiplies that
 	// error across whole regions), conceded by the irregularity allowance.
 	// The upper sweep additionally requires a few observed matches: a
-	// zero-match stratum says little about how many hide below it.
-	rateLo := make([]float64, e.m)
-	best := 0.0
+	// zero-match stratum says little about how many hide below it. Each
+	// anchor's Wilson bounds are computed once, at the table's z of
+	// monoTheta, into rateLo/rateHi (-Inf/+Inf where a stratum does not
+	// anchor); the two sweeps then turn them into running envelopes.
+	z, zErr := e.crit.Z(e.monoTheta)
 	for k := 0; k < e.m; k++ {
-		if st := e.stratum(k); st.Sampled >= monoMinSample {
-			if lo, _, err := stats.WilsonInterval(st.Matches, st.Sampled, e.monoTheta); err == nil {
-				if r := lo - e.bandAdj; r > best {
-					best = r
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if st := e.stratum(k); zErr == nil && st.Sampled >= monoMinSample {
+			if wLo, wHi, err := stats.WilsonIntervalZ(st.Matches, st.Sampled, z); err == nil {
+				lo = wLo - e.bandAdj
+				if st.Matches >= 3 {
+					hi = wHi + e.bandAdj
 				}
 			}
 		}
-		rateLo[k] = best
+		e.rateLo[k], e.rateHi[k] = lo, hi
 	}
-	rateHi := make([]float64, e.m)
+	best := 0.0
+	for k, r := range e.rateLo {
+		if r > best {
+			best = r
+		}
+		e.rateLo[k] = best
+	}
 	worst := 1.0
 	for k := e.m - 1; k >= 0; k-- {
-		if st := e.stratum(k); st.Sampled >= monoMinSample && st.Matches >= 3 {
-			if _, hi, err := stats.WilsonInterval(st.Matches, st.Sampled, e.monoTheta); err == nil {
-				if r := hi + e.bandAdj; r < worst {
-					worst = r
-				}
-			}
+		if r := e.rateHi[k]; r < worst {
+			worst = r
 		}
-		rateHi[k] = worst
+		e.rateHi[k] = worst
 	}
 
 	for k := 0; k < e.m; k++ {
@@ -179,8 +189,8 @@ func (e *riskEstimator) refresh() {
 			e.gMean[k+1] += n * e.gp.mean[k]
 			e.gVar[k+1] += e.gp.indepVar[k+1] - e.gp.indepVar[k]
 			e.gPairs[k+1] += n
-			e.gMonoLo[k+1] += n * rateLo[k]
-			e.gMonoHi[k+1] += n * rateHi[k]
+			e.gMonoLo[k+1] += n * e.rateLo[k]
+			e.gMonoHi[k+1] += n * e.rateHi[k]
 			continue
 		}
 		n, si := float64(st.Size), float64(st.Sampled)

@@ -78,6 +78,11 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
+// Data returns the row-major backing slice of the matrix, aliased: element
+// (i, j) is Data()[i*c+j] for c columns. Hot loops use it to fill or read a
+// matrix without a bounds-checked call per element.
+func (m *Dense) Data() []float64 { return m.data }
+
 // Row returns a copy of row i.
 func (m *Dense) Row(i int) []float64 {
 	if i < 0 || i >= m.rows {
@@ -187,25 +192,58 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	}
 	n := a.rows
 	l := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			li := l.data[i*n : i*n+j]
-			lj := l.data[j*n : j*n+j]
-			for k := range lj {
-				sum -= li[k] * lj[k]
+	ad, ld := a.data, l.data
+	// Rows i and i2 = i+1 are factorized together: their entries left of
+	// column i read the same rows of L and not each other, so they run as
+	// two independent accumulation chains, each in the single-row order.
+	i := 0
+	for ; i+1 < n; i += 2 {
+		i2 := i + 1
+		r1, r2 := ld[i*n:i*n+i], ld[i2*n:i2*n+i]
+		for j := 0; j < i; j++ {
+			s1, s2 := ad[i*n+j], ad[i2*n+j]
+			l1, l2 := r1[:j], r2[:j]
+			for k, v := range ld[j*n : j*n+j] {
+				s1 -= l1[k] * v
+				s2 -= l2[k] * v
 			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, fmt.Errorf("%w: pivot %d = %v", ErrNotSPD, i, sum)
-				}
-				l.data[i*n+j] = math.Sqrt(sum)
-			} else {
-				l.data[i*n+j] = sum / l.data[j*n+j]
-			}
+			r1[j] = s1 / ld[j*n+j]
+			r2[j] = s2 / ld[j*n+j]
+		}
+		if err := choleskyRow(ad, ld, n, i, i); err != nil {
+			return nil, err
+		}
+		if err := choleskyRow(ad, ld, n, i2, i); err != nil {
+			return nil, err
+		}
+	}
+	if i < n {
+		if err := choleskyRow(ad, ld, n, i, 0); err != nil {
+			return nil, err
 		}
 	}
 	return &Cholesky{l: l, n: n}, nil
+}
+
+// choleskyRow computes the entries in columns [from, i] of row i of the
+// factor, the diagonal last, from a's row and the rows of L above it.
+func choleskyRow(a, l []float64, n, i, from int) error {
+	for j := from; j <= i; j++ {
+		sum := a[i*n+j]
+		li := l[i*n : i*n+j]
+		for k, v := range l[j*n : j*n+j] {
+			sum -= li[k] * v
+		}
+		if i == j {
+			if sum <= 0 || math.IsNaN(sum) {
+				return fmt.Errorf("%w: pivot %d = %v", ErrNotSPD, i, sum)
+			}
+			l[i*n+j] = math.Sqrt(sum)
+		} else {
+			l[i*n+j] = sum / l[j*n+j]
+		}
+	}
+	return nil
 }
 
 // L returns a copy of the lower-triangular factor.
@@ -238,6 +276,78 @@ func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 		x[i] = sum / l[i*n+i]
 	}
 	return x, nil
+}
+
+// InverseDiag returns the diagonal of A⁻¹. Entry i holds exactly the bits
+// of SolveVec(e_i)[i], the i-th column solve of the identity, at about a
+// third of the cost of those n solves:
+//   - The forward pass L y = e_i starts at row i. The rows above it only
+//     ever subtract signed zeros from +0 (every off-diagonal entry of a
+//     successful factor is finite), so they stay +0 and are skipped.
+//   - The backward pass Lᵀ x = y stops at row i. It reads a transposed copy
+//     of L, so it runs along rows, in the same summation order.
+//   - Two columns are solved at a time, as two independent accumulation
+//     chains over the same rows of L.
+//
+// Cost is Σ(n−i)² ≈ n³/3 multiply-adds, against ~n³ for the column solves.
+func (c *Cholesky) InverseDiag() []float64 {
+	n := c.n
+	l := c.l.data
+	buf := make([]float64, n*n+4*n)
+	lt := buf[:n*n] // lt[r*n+k] = L[k][r]
+	for r := 0; r < n; r++ {
+		for k := r; k < n; k++ {
+			lt[r*n+k] = l[k*n+r]
+		}
+	}
+	// Columns i and j = i+1 are solved together, each chain in the
+	// single-column order.
+	ya, yb := buf[n*n:n*n+n], buf[n*n+n:n*n+2*n]
+	xa, xb := buf[n*n+2*n:n*n+3*n], buf[n*n+3*n:]
+	out := make([]float64, n)
+	i := 0
+	for ; i+1 < n; i += 2 {
+		j := i + 1
+		ya[i] = 1 / l[i*n+i]
+		var s float64
+		s -= l[j*n+i] * ya[i]
+		ya[j] = s / l[j*n+j]
+		yb[j] = 1 / l[j*n+j]
+		for r := j + 1; r < n; r++ {
+			row := l[r*n+j : r*n+r]
+			pa, pb := ya[j:r], yb[j:r]
+			var sa, sb float64
+			sa -= l[r*n+i] * ya[i]
+			for k, v := range row {
+				sa -= v * pa[k]
+				sb -= v * pb[k]
+			}
+			ya[r] = sa / l[r*n+r]
+			yb[r] = sb / l[r*n+r]
+		}
+		for r := n - 1; r >= j; r-- {
+			row := lt[r*n+r+1 : r*n+n]
+			pa, pb := xa[r+1:n], xb[r+1:n]
+			sa, sb := ya[r], yb[r]
+			for k, v := range row {
+				sa -= v * pa[k]
+				sb -= v * pb[k]
+			}
+			xa[r] = sa / l[r*n+r]
+			xb[r] = sb / l[r*n+r]
+		}
+		s = ya[i]
+		pa := xa[j:n]
+		for k, v := range lt[i*n+j : i*n+n] {
+			s -= v * pa[k]
+		}
+		out[i] = s / l[i*n+i]
+		out[j] = xb[j]
+	}
+	if i < n { // odd n: the last column alone is one entry
+		out[i] = 1 / l[i*n+i] / l[i*n+i]
+	}
+	return out
 }
 
 // Solve solves A X = B column by column.

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -260,5 +261,188 @@ func TestSolveShapeErrors(t *testing.T) {
 	}
 	if _, err := ch.Solve(NewDense(3, 1)); !errors.Is(err, ErrShape) {
 		t.Error("Solve wrong rows should fail")
+	}
+}
+
+func TestDataAliases(t *testing.T) {
+	m := NewDense(2, 3)
+	m.Data()[1*3+2] = 7
+	if m.At(1, 2) != 7 {
+		t.Errorf("Data()[5] write not seen by At(1,2): %v", m.At(1, 2))
+	}
+}
+
+// rbfKernel builds K = sf2*exp(-(x_i-x_j)^2/(2 l^2)) + (nf + 1e-10) I, the
+// kernel matrix internal/gp factorizes.
+func rbfKernel(x []float64, l, sf2, nf float64) *Dense {
+	n := len(x)
+	k := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			d := x[i] - x[j]
+			v := sf2 * math.Exp(-d*d/(2*l*l))
+			k.Set(i, j, v)
+			k.Set(j, i, v)
+		}
+		k.Add(i, i, nf+1e-10)
+	}
+	return k
+}
+
+// checkInverseDiag asserts InverseDiag()[i] has exactly the bits of the
+// i-th column solve of the identity, SolveVec(e_i)[i].
+func checkInverseDiag(t *testing.T, ch *Cholesky, what string) {
+	t.Helper()
+	n := ch.n
+	got := ch.InverseDiag()
+	if len(got) != n {
+		t.Fatalf("%s: len(InverseDiag) = %d, want %d", what, len(got), n)
+	}
+	e := make([]float64, n)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			e[i-1] = 0
+		}
+		e[i] = 1
+		col, err := ch.SolveVec(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(col[i]) {
+			t.Fatalf("%s: InverseDiag[%d] = %v (%#x), column solve %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), col[i], math.Float64bits(col[i]))
+		}
+	}
+}
+
+func TestInverseDiagBitIdentical(t *testing.T) {
+	scales := []float64{0.03, 0.06, 0.1, 0.18, 0.3}
+	signals := []float64{0.001, 0.01, 0.05, 0.15, 0.4}
+	floors := []float64{1e-6, 1e-4, 1e-3, 2.5e-2}
+	rng := rand.New(rand.NewSource(17))
+	factored, refused := 0, 0
+	for n := 1; n <= 96; n++ {
+		x := make([]float64, n)
+		for i := range x {
+			if i > 0 && rng.Intn(5) == 0 {
+				x[i] = x[rng.Intn(i)] // duplicate input
+			} else {
+				x[i] = rng.Float64()
+			}
+		}
+		for si, l := range scales {
+			sf2 := signals[(n+si)%len(signals)]
+			nf := floors[(n+2*si)%len(floors)]
+			ch, err := NewCholesky(rbfKernel(x, l, sf2, nf))
+			if err != nil {
+				if !errors.Is(err, ErrNotSPD) {
+					t.Fatalf("n=%d l=%v: %v", n, l, err)
+				}
+				refused++
+				continue
+			}
+			factored++
+			checkInverseDiag(t, ch, fmt.Sprintf("n=%d l=%v sf2=%v nf=%v", n, l, sf2, nf))
+		}
+		ch, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInverseDiag(t, ch, fmt.Sprintf("n=%d random SPD", n))
+	}
+	if factored < 400 {
+		t.Errorf("only %d RBF kernels factorized (%d refused)", factored, refused)
+	}
+}
+
+// refCholesky is the row-by-row factorization: every entry of L in row-major
+// order, one accumulation chain at a time.
+func refCholesky(a *Dense) (*Cholesky, error) {
+	n := a.rows
+	l := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := a.At(i, j)
+			li := l.data[i*n : i*n+j]
+			lj := l.data[j*n : j*n+j]
+			for k := range lj {
+				sum -= li[k] * lj[k]
+			}
+			if i == j {
+				if sum <= 0 || math.IsNaN(sum) {
+					return nil, fmt.Errorf("%w: pivot %d = %v", ErrNotSPD, i, sum)
+				}
+				l.data[i*n+j] = math.Sqrt(sum)
+			} else {
+				l.data[i*n+j] = sum / l.data[j*n+j]
+			}
+		}
+	}
+	return &Cholesky{l: l, n: n}, nil
+}
+
+// checkCholesky asserts NewCholesky(a) returns the reference factor bit for
+// bit, or the reference's error text.
+func checkCholesky(t *testing.T, a *Dense, what string) {
+	t.Helper()
+	want, wantErr := refCholesky(a)
+	got, err := NewCholesky(a)
+	if wantErr != nil || err != nil {
+		if wantErr == nil || err == nil || err.Error() != wantErr.Error() || !errors.Is(err, ErrNotSPD) {
+			t.Fatalf("%s: NewCholesky err = %v, reference err = %v", what, err, wantErr)
+		}
+		return
+	}
+	for p, v := range want.l.data {
+		if math.Float64bits(got.l.data[p]) != math.Float64bits(v) {
+			t.Fatalf("%s: L[%d][%d] = %v, reference %v", what, p/want.n, p%want.n, got.l.data[p], v)
+		}
+	}
+}
+
+func TestCholeskyBitIdentical(t *testing.T) {
+	scales := []float64{0.03, 0.06, 0.1, 0.18, 0.3}
+	rng := rand.New(rand.NewSource(23))
+	failed := map[bool]int{} // refusals at even and odd pivots
+	for n := 1; n <= 96; n++ {
+		x := make([]float64, n)
+		for i := range x {
+			if i > 0 && rng.Intn(4) == 0 {
+				x[i] = x[rng.Intn(i)]
+			} else {
+				x[i] = rng.Float64()
+			}
+		}
+		for _, l := range scales {
+			// At sf2 = 1e8 with no noise floor the 1e-10 jitter is lost to
+			// rounding, so kernels with duplicate inputs are refused at some
+			// pivot.
+			for _, sf2 := range []float64{0.4, 1e8} {
+				nf := 1e-6
+				if sf2 > 1 {
+					nf = 0
+				}
+				a := rbfKernel(x, l, sf2, nf)
+				if _, err := refCholesky(a); err != nil {
+					var p int
+					fmt.Sscanf(err.Error()[len(ErrNotSPD.Error()):], ": pivot %d", &p)
+					failed[p%2 == 0]++
+				}
+				checkCholesky(t, a, fmt.Sprintf("n=%d l=%v sf2=%v", n, l, sf2))
+			}
+		}
+		spd := randomSPD(rng, n)
+		checkCholesky(t, spd, fmt.Sprintf("n=%d random SPD", n))
+		// Break the matrix at one pivot, even or odd, by a negative or NaN
+		// diagonal entry.
+		p := rng.Intn(n)
+		bad := spd.Clone()
+		bad.Set(p, p, -1)
+		checkCholesky(t, bad, fmt.Sprintf("n=%d negative pivot %d", n, p))
+		bad.Set(p, p, math.NaN())
+		checkCholesky(t, bad, fmt.Sprintf("n=%d NaN pivot %d", n, p))
+	}
+	if failed[true] == 0 || failed[false] == 0 {
+		t.Errorf("near-singular kernels refused at even/odd pivots %d/%d times, want both", failed[true], failed[false])
 	}
 }

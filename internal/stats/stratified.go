@@ -143,6 +143,16 @@ func WilsonInterval(k, n int, theta float64) (lo, hi float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	return WilsonIntervalZ(k, n, z)
+}
+
+// WilsonIntervalZ is WilsonInterval at the normal critical value z =
+// TwoSidedZ(theta), for callers that hold z (a TTable's Z) and bound many
+// proportions at one confidence.
+func WilsonIntervalZ(k, n int, z float64) (lo, hi float64, err error) {
+	if n <= 0 || k < 0 || k > n {
+		return 0, 0, fmt.Errorf("%w: WilsonInterval k=%d n=%d", ErrBadParam, k, n)
+	}
 	nf := float64(n)
 	p := float64(k) / nf
 	z2 := z * z

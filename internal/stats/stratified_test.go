@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -212,6 +213,33 @@ func TestWilsonInterval(t *testing.T) {
 	}
 	if _, _, err := WilsonInterval(11, 10, 0.9); err == nil {
 		t.Error("k>n should fail")
+	}
+}
+
+func TestWilsonIntervalZMatchesTable(t *testing.T) {
+	for _, theta := range []float64{0.9, math.Sqrt(0.9), 0.95, 0.99} {
+		tab, err := TTableFor(theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= 120; n++ {
+			for k := 0; k <= n; k++ {
+				wLo, wHi, err := WilsonInterval(k, n, theta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo, hi, err := WilsonIntervalZ(k, n, tab.Z())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(lo) != math.Float64bits(wLo) || math.Float64bits(hi) != math.Float64bits(wHi) {
+					t.Fatalf("theta=%v k=%d n=%d: WilsonIntervalZ [%v,%v], WilsonInterval [%v,%v]", theta, k, n, lo, hi, wLo, wHi)
+				}
+			}
+		}
+	}
+	if _, _, err := WilsonIntervalZ(3, 2, 1.96); !errors.Is(err, ErrBadParam) {
+		t.Errorf("k>n: err = %v, want ErrBadParam", err)
 	}
 }
 
