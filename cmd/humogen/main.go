@@ -27,10 +27,10 @@
 //	        -block lsh -rows 2 -bands 32 -threshold 0.3 -out workload.csv
 //
 // -out receives the `pair_id,similarity` CSV with the workload fingerprint
-// embedded as a leading `# fingerprint: ...` comment (plus a legacy `.fp`
-// sidecar, written after the data as a convenience), and -cands the full
-// `pair_id,record_a,record_b,similarity` candidates file. Generation is deterministic: the same tables and flags
-// produce byte-identical outputs at any -workers value.
+// embedded as a leading `# fingerprint: ...` comment, and -cands the full
+// `pair_id,record_a,record_b,similarity` candidates file. Generation is
+// deterministic: the same tables and flags produce byte-identical outputs
+// at any -workers value.
 package main
 
 import (
@@ -154,18 +154,10 @@ func runGenerate(stdout, stderr io.Writer, a genArgs) int {
 	}
 	elapsed := time.Since(start)
 
-	// The fingerprint rides inside the workload CSV (one atomic write, no
-	// kill window between data and identity); the .fp sidecar is written
-	// after it purely as a convenience for shell pipelines, so a crash
-	// between the two can never leave data attributed by a stale sidecar.
+	// The fingerprint rides inside the workload CSV: one atomic write, no
+	// kill window between data and identity.
 	if err := dataio.WriteFileAtomic(a.outPath, func(w io.Writer) error {
 		return dataio.WritePairsFingerprinted(w, g.CorePairs(), g.Fingerprint)
-	}); err != nil {
-		return fail(err)
-	}
-	if err := dataio.WriteFileAtomic(a.outPath+".fp", func(w io.Writer) error {
-		_, err := fmt.Fprintln(w, g.Fingerprint)
-		return err
 	}); err != nil {
 		return fail(err)
 	}

@@ -17,6 +17,22 @@ func writeCSV(t *testing.T, path string, rows []string) {
 	}
 }
 
+// embeddedFingerprint returns the fingerprint a workload CSV carries in its
+// leading comment.
+func embeddedFingerprint(t *testing.T, path string) string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, fp, err := dataio.ReadPairsFingerprint(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
 func fixtureTables(t *testing.T, dir string) (aPath, bPath string) {
 	t.Helper()
 	aPath = filepath.Join(dir, "a.csv")
@@ -87,12 +103,12 @@ func TestRunGenerate(t *testing.T) {
 			t.Fatalf("pair %d: workload %+v vs candidate %+v", i, p, cands[i])
 		}
 	}
-	fp1, err := os.ReadFile(outPath + ".fp")
-	if err != nil {
-		t.Fatal(err)
+	fp1 := embeddedFingerprint(t, outPath)
+	if fp1 == "" {
+		t.Fatal("empty embedded fingerprint")
 	}
-	if len(strings.TrimSpace(string(fp1))) == 0 {
-		t.Fatal("empty fingerprint sidecar")
+	if _, err := os.Stat(outPath + ".fp"); !os.IsNotExist(err) {
+		t.Errorf("a .fp sidecar was written next to the workload (stat err %v)", err)
 	}
 
 	// Re-generate with a different worker count: byte-identical outputs.
@@ -111,8 +127,7 @@ func TestRunGenerate(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Error("workload bytes differ across worker counts")
 	}
-	fp2, _ := os.ReadFile(out2 + ".fp")
-	if !bytes.Equal(fp1, fp2) {
+	if fp2 := embeddedFingerprint(t, out2); fp1 != fp2 {
 		t.Error("fingerprint differs across worker counts")
 	}
 }

@@ -485,10 +485,8 @@ func WritePairs(w io.Writer, pairs []core.Pair) error {
 
 // WritePairsFingerprinted writes a workload CSV with its fingerprint folded
 // into a leading `# fingerprint: ...` comment, so one atomic file write
-// carries both the data and its identity — the writers that used to pair
-// the CSV with an `.fp` sidecar had a kill window between the two syscalls
-// in which the pair disagreed. ReadPairs skips the comment; readers that
-// care about the fingerprint use ReadPairsFingerprint.
+// carries both the data and its identity. ReadPairs skips the comment;
+// readers that care about the fingerprint use ReadPairsFingerprint.
 func WritePairsFingerprinted(w io.Writer, pairs []core.Pair, fingerprint string) error {
 	if fingerprint != "" {
 		if err := writeMeta(w, "fingerprint", fingerprint); err != nil {

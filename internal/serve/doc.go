@@ -23,7 +23,8 @@
 //	<id>.journal.jsonl    answer deltas since the base, one fsynced line per batch
 //
 // An answered batch appends one delta line — O(batch) disk work — instead
-// of rewriting the whole checkpoint. Once CompactEvery deltas accumulate,
+// of rewriting the whole checkpoint. journal.go implements the one journal
+// that both this file and a live workload's append journal use. Once CompactEvery deltas accumulate,
 // the base is rewritten atomically and the journal truncated. Recovery
 // replays base + deltas in order (humo.RestoreSessionDeltas); the replay
 // rules make every crash window safe:
@@ -51,7 +52,8 @@
 // the manager retains a humo.IncrementalWorkload and accepts record
 // appends (AppendRecords, POST /v1/workloads/{name}/records) that grow the
 // candidate set and extend every session resolving that workload in place.
-// A live workload's on-disk form, under the data directory:
+// A live workload's on-disk form (the CSV under the data directory, the
+// journals under the state directory):
 //
 //	<name>.build.json     the WorkloadRequest, written before the CSV
 //	<name>.csv            the pair list, fingerprint embedded as a leading
@@ -60,15 +62,18 @@
 //	                      strict seq chain; NEVER compacted — the file IS
 //	                      the epoch history
 //
+// A static (sorted-neighborhood) build writes the CSV alone. No build
+// writes a .fp sidecar: the fingerprint lives in the CSV.
+//
 // Ordering is journal-before-apply: an append is fsynced to the journal
 // first, then applied (tables grow, Sync emits the delta and advances the
 // fingerprint chain, the CSV is rewritten from cached rows with only the
 // delta newly formatted, sessions are extended and re-checkpointed at the
-// new epoch). Appends beyond a bounded in-flight
-// queue are shed with ErrOverloaded (429). Recovery replays the build
-// journal, then the append journal one Sync epoch per line — reproducing
-// the fingerprint chain bit-identically — and truncates a torn final line
-// (that append was never acknowledged). A session checkpoint whose
+// new epoch). Appends beyond a bounded in-flight queue are shed with
+// ErrOverloaded (429). Recovery replays the build journal, then the append
+// journal one Sync epoch per line — reproducing the fingerprint chain
+// bit-identically — and truncates a torn final line (that append was never
+// acknowledged), through the same replay step as a session's deltas. A session checkpoint whose
 // workload hash sits at an older epoch of the chain restores there and is
 // caught up through Session.Extend with the missing pair suffix; a hash on
 // no epoch of the chain refuses recovery loudly. If applying a journaled

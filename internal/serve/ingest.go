@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,8 +25,8 @@ import (
 // session created from that workload file absorbs the delta via
 // Session.Extend without restarting.
 //
-// Durability mirrors the session journals: every accepted append is one
-// fsynced line in <name>.appends.jsonl before it is applied, and the
+// Durability uses the sessions' journal (journal.go): every accepted append
+// is one fsynced line in <name>.appends.jsonl before it is applied, and the
 // build request itself is persisted as <name>.build.json. Recovery rebuilds
 // the tables from the build request, replays the append journal epoch by
 // epoch through the same IncrementalWorkload code path (one journal line =
@@ -81,7 +78,7 @@ type workloadState struct {
 	mu     sync.Mutex
 	ta, tb *records.Table
 	iw     *humo.IncrementalWorkload
-	jr     *appendJournal
+	jr     *journal
 	broken bool
 	// rows caches the formatted CSV data rows of the first rowsN
 	// candidates, so a rewrite formats only the pairs an append added.
@@ -104,9 +101,6 @@ func (ws *workloadState) writeCSV() error {
 	})
 }
 
-// appendJournalVersion versions the append journal line format.
-const appendJournalVersion = 1
-
 // appendLine is one journaled record append: the raw rows, exactly as
 // accepted. One line is one IncrementalWorkload.Sync epoch — recovery
 // replays lines one at a time so the fingerprint chain comes out
@@ -118,106 +112,7 @@ type appendLine struct {
 	RowsB [][]string `json:"rows_b,omitempty"`
 }
 
-// appendJournal owns the append-only record journal of one workload. Unlike
-// the session delta journal it is never compacted: the lines ARE the epoch
-// history recovery replays, so they are kept for the workload's lifetime.
-type appendJournal struct {
-	path string
-	f    *os.File
-	seq  int
-	buf  bytes.Buffer
-}
-
-func newAppendJournal(path string) *appendJournal {
-	return &appendJournal{path: path}
-}
-
-func (j *appendJournal) open() error {
-	if j.f != nil {
-		return nil
-	}
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	j.f = f
-	return nil
-}
-
-// append journals one record batch: one buffered write of one JSON line,
-// one fsync. The caller serializes appends (workloadState.mu does).
-func (j *appendJournal) append(rowsA, rowsB [][]string) error {
-	if err := j.open(); err != nil {
-		return err
-	}
-	j.buf.Reset()
-	enc := json.NewEncoder(&j.buf)
-	if err := enc.Encode(appendLine{V: appendJournalVersion, Seq: j.seq + 1, RowsA: rowsA, RowsB: rowsB}); err != nil {
-		return err
-	}
-	if _, err := j.f.Write(j.buf.Bytes()); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.seq++
-	return nil
-}
-
-func (j *appendJournal) close() error {
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
-
-// readAppends replays an append journal and returns the byte offset just
-// past the last complete line. The crash contract mirrors the session delta
-// journal: a missing file is an empty journal, a torn final line (crash
-// mid-append, never acknowledged) is dropped for the caller to truncate,
-// and corruption anywhere else — bad JSON, a broken seq chain — fails
-// recovery loudly.
-func readAppends(path string) (lines []appendLine, complete int64, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	seq := 0
-	for {
-		raw, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			return lines, complete, nil
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			complete += int64(len(raw))
-			continue
-		}
-		var al appendLine
-		if err := unmarshalJSONStrict(raw, &al); err != nil {
-			return nil, 0, fmt.Errorf("%w: append line %d: %v", errJournalCorrupt, seq+1, err)
-		}
-		if al.V != appendJournalVersion {
-			return nil, 0, fmt.Errorf("%w: append line %d: version %d, want %d", errJournalCorrupt, seq+1, al.V, appendJournalVersion)
-		}
-		if al.Seq != seq+1 {
-			return nil, 0, fmt.Errorf("%w: append line %d: seq %d, want %d", errJournalCorrupt, seq+1, al.Seq, seq+1)
-		}
-		seq++
-		complete += int64(len(raw))
-		lines = append(lines, al)
-	}
-}
+func (l appendLine) header() (int, int) { return l.V, l.Seq }
 
 // AppendRequest is the body of POST /v1/workloads/{name}/records: rows to
 // append to either or both tables, in the schema of the build request.
@@ -357,7 +252,7 @@ func (m *Manager) AppendRecords(name string, req AppendRequest) (AppendInfo, err
 	// durable — every later step is replayed from the journal on restart,
 	// so a crash anywhere past this point cannot lose an acknowledged
 	// append.
-	if err := ws.jr.append(req.RowsA, req.RowsB); err != nil {
+	if err := ws.jr.appendRows(req.RowsA, req.RowsB); err != nil {
 		return AppendInfo{}, err
 	}
 	info, extended, err := ws.applyLocked(m, recsA, recsB)
@@ -529,15 +424,9 @@ func (m *Manager) recoverWorkload(name, buildPath string) error {
 	if err != nil {
 		return err
 	}
-	jp := m.appendJournalPath(name)
-	lines, complete, err := readAppends(jp)
+	lines, err := replay[appendLine](ws.jr)
 	if err != nil {
 		return err
-	}
-	if fi, serr := os.Stat(jp); serr == nil && fi.Size() > complete {
-		if terr := os.Truncate(jp, complete); terr != nil {
-			return fmt.Errorf("truncating torn append journal tail: %w", terr)
-		}
 	}
 	for _, al := range lines {
 		recsA, err := rowsToRecords(al.RowsA, ws.ta)
@@ -562,7 +451,6 @@ func (m *Manager) recoverWorkload(name, buildPath string) error {
 			return fmt.Errorf("append %d: %w", al.Seq, err)
 		}
 	}
-	ws.jr.seq = len(lines)
 	// Regenerate the CSV when it is missing or does not fingerprint the
 	// recovered chain head (a crash between the journal append and the
 	// rewrite, or a failed rewrite).
@@ -610,7 +498,7 @@ func (m *Manager) newWorkloadState(ctx context.Context, name string, req Workloa
 		ta:   ta,
 		tb:   tb,
 		iw:   iw,
-		jr:   newAppendJournal(m.appendJournalPath(name)),
+		jr:   newJournal(m.appendJournalPath(name)),
 	}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"humo"
@@ -358,6 +359,66 @@ func TestAppendJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestReadAppendsCorruption: append lines go through the same reader
+// checks as answer deltas — bad JSON, an unknown field, a wrong version and
+// a broken seq chain (duplicated, dropped or reordered lines) each fail
+// loudly with errJournalCorrupt.
+func TestReadAppendsCorruption(t *testing.T) {
+	line := func(seq string) string { return `{"v":1,"seq":` + seq + `,"rows_a":[["x","y"]]}` + "\n" }
+	for name, content := range map[string]string{
+		"garbage line":   "not json\n" + line("2"),
+		"unknown field":  `{"v":1,"seq":1,"rows_a":[["x","y"]],"extra":1}` + "\n",
+		"bad version":    `{"v":9,"seq":1,"rows_a":[["x","y"]]}` + "\n",
+		"non-string row": `{"v":1,"seq":1,"rows_b":[[1,2]]}` + "\n",
+		"mid-file tear":  `{"v":1,"se` + "\n" + line("2"),
+		"seq not 1":      line("2"),
+		"seq duplicate":  line("1") + line("1"),
+		"seq gap":        line("1") + line("3"),
+		"seq reorder":    line("1") + line("3") + line("2"),
+	} {
+		if _, _, err := readJournal[appendLine](strings.NewReader(content)); !errors.Is(err, errJournalCorrupt) {
+			t.Errorf("%s: err = %v, want errJournalCorrupt", name, err)
+		}
+	}
+}
+
+// TestIngestRecoveryCorruptAppendJournal: an append journal corrupted
+// before its final line fails Open loudly with errJournalCorrupt, as
+// corrupt session deltas do — recovery must not silently drop acknowledged
+// records or replay a different epoch chain.
+func TestIngestRecoveryCorruptAppendJournal(t *testing.T) {
+	stateDir, dataDir := t.TempDir(), t.TempDir()
+	m1, err := Open(Config{StateDir: stateDir, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.BuildWorkload(context.Background(), ingestWorkloadRequest("stream", 20)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m1.AppendRecords("stream", ingestAppend(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m1.Close()
+
+	jp := filepath.Join(stateDir, "stream"+appendSuffix)
+	data, err := os.ReadFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gap := strings.Replace(string(data), `"seq":2`, `"seq":3`, 1)
+	if gap == string(data) {
+		t.Fatal("journal holds no second line to corrupt")
+	}
+	if err := os.WriteFile(jp, []byte(gap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{StateDir: stateDir, DataDir: dataDir}); !errors.Is(err, errJournalCorrupt) {
+		t.Fatalf("Open = %v, want errJournalCorrupt", err)
+	}
+}
+
 // TestIngestCSVKillWindow: a crash between the journal append and the
 // workload-CSV rewrite leaves a stale CSV; recovery detects the embedded
 // fingerprint mismatch against the replayed chain head and regenerates the
@@ -440,7 +501,7 @@ func TestAppendValidation(t *testing.T) {
 	if _, err := m.AppendRecords("stream", bad); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("ragged append: %v", err)
 	}
-	if lines, _, err := readAppends(filepath.Join(stateDir, "stream"+appendSuffix)); err != nil || len(lines) != 0 {
+	if lines, err := replay[appendLine](newJournal(filepath.Join(stateDir, "stream"+appendSuffix))); err != nil || len(lines) != 0 {
 		t.Fatalf("journal after refused appends: %d lines, err %v", len(lines), err)
 	}
 	if _, err := DecodeAppendRequest([]byte(`{}`)); !errors.Is(err, ErrBadSpec) {

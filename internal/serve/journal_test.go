@@ -7,13 +7,35 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"humo/internal/dataio"
 )
+
+// readDeltas reads a session's delta file without recovering it: the
+// per-batch label maps, the line count, and the byte offset just past the
+// last complete line. A missing file is an empty journal.
+func readDeltas(path string) ([]map[int]bool, int, int64, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, 0, 0, nil
+	}
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer f.Close()
+	lines, complete, err := readJournal[deltaLine](f)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	deltas, err := deltaLabels(lines)
+	return deltas, len(lines), complete, err
+}
 
 // TestDeltaJournalRoundTrip: appended batches read back in order, truncate
 // empties the file, remove unlinks it.
 func TestDeltaJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.journal.jsonl")
-	j := newDeltaJournal(path)
+	j := newJournal(path)
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("journal file created before the first append")
 	}
@@ -23,7 +45,7 @@ func TestDeltaJournalRoundTrip(t *testing.T) {
 		{2: true}, // later batch overrides pair 2
 	}
 	for _, b := range batches {
-		if err := j.append(b); err != nil {
+		if err := j.appendDelta(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +79,7 @@ func TestDeltaJournalRoundTrip(t *testing.T) {
 	}
 	// The handle stays valid for appends after a truncate (O_APPEND
 	// through-handle truncation, the compaction path).
-	if err := j.append(map[int]bool{9: true}); err != nil {
+	if err := j.appendDelta(map[int]bool{9: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, lines, _, err := readDeltas(path); err != nil || lines != 1 {
@@ -87,11 +109,11 @@ func TestReadDeltasMissingFile(t *testing.T) {
 // points at the start of the fragment so recovery can truncate it away.
 func TestReadDeltasTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.journal.jsonl")
-	j := newDeltaJournal(path)
-	if err := j.append(map[int]bool{1: true}); err != nil {
+	j := newJournal(path)
+	if err := j.appendDelta(map[int]bool{1: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(map[int]bool{2: false}); err != nil {
+	if err := j.appendDelta(map[int]bool{2: false}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -233,7 +255,7 @@ func TestManagerCompaction(t *testing.T) {
 	// process died before the journal truncate, so the surviving delta line
 	// is already folded into the base. Replay then applies the same labels
 	// twice; idempotent replay must absorb it.
-	if err := writeBase(filepath.Join(dir, "cmp.checkpoint.json"), s.Session().Checkpoint); err != nil {
+	if err := dataio.WriteFileAtomic(filepath.Join(dir, "cmp.checkpoint.json"), s.Session().Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	s.Session().Cancel() // crash without Close

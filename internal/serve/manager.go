@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"humo"
+	"humo/internal/dataio"
 	"humo/internal/obs"
 )
 
@@ -344,13 +345,13 @@ func (m *Manager) startSession(id string, spec Spec) (*ManagedSession, error) {
 			return nil, err
 		}
 	}
-	if err := writeBase(m.specPath(id), func(f io.Writer) error {
+	if err := dataio.WriteFileAtomic(m.specPath(id), func(f io.Writer) error {
 		return writeJSON(f, spec)
 	}); err != nil {
 		sess.Cancel()
 		return nil, err
 	}
-	if err := writeBase(s.cpPath, sess.Checkpoint); err != nil {
+	if err := dataio.WriteFileAtomic(s.cpPath, sess.Checkpoint); err != nil {
 		sess.Cancel()
 		os.Remove(m.specPath(id))
 		return nil, err
@@ -364,7 +365,7 @@ func (m *Manager) newManagedSession(id string, spec Spec, sess *humo.Session) *M
 		spec:         spec,
 		sess:         sess,
 		cpPath:       m.checkpointPath(id),
-		jr:           newDeltaJournal(m.journalPath(id)),
+		jr:           newJournal(m.journalPath(id)),
 		compactEvery: m.compactEvery,
 		metrics:      m.metrics,
 		changed:      make(chan struct{}),
@@ -392,27 +393,22 @@ func (m *Manager) recoverSession(id string) (*ManagedSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	jp := m.journalPath(id)
-	deltas, lines, complete, err := readDeltas(jp)
+	jr := newJournal(m.journalPath(id))
+	lines, err := replay[deltaLine](jr)
 	if err != nil {
 		return nil, err
 	}
-	// A torn final line was dropped logically; drop its bytes too. The
-	// journal reopens with O_APPEND, so without this truncate the first
-	// post-recovery append would concatenate onto the fragment and turn a
-	// benign mid-append crash into errJournalCorrupt on the next restart.
-	if fi, serr := os.Stat(jp); serr == nil && fi.Size() > complete {
-		if terr := os.Truncate(jp, complete); terr != nil {
-			return nil, fmt.Errorf("truncating torn journal tail: %w", terr)
-		}
+	deltas, err := deltaLabels(lines)
+	if err != nil {
+		return nil, err
 	}
 	cp, err := os.Open(m.checkpointPath(id))
 	if os.IsNotExist(err) {
-		if lines > 0 {
+		if len(lines) > 0 {
 			// Deltas can only ever be appended after the base snapshot
 			// landed: a missing base with surviving deltas is corruption,
 			// not a benign crash window.
-			return nil, fmt.Errorf("%w: %d answer deltas without a base checkpoint", errJournalCorrupt, lines)
+			return nil, fmt.Errorf("%w: %d answer deltas without a base checkpoint", errJournalCorrupt, len(lines))
 		}
 		// The process died between the spec write and the initial base
 		// write: no answer was ever journaled (Create had not returned), so
@@ -433,7 +429,7 @@ func (m *Manager) recoverSession(id string) (*ManagedSession, error) {
 		return nil, err
 	}
 	s := m.newManagedSession(id, spec, sess)
-	s.jr.seq = lines
+	s.jr = jr
 	if spec.Crowd != nil {
 		if s.crowd, err = spec.Crowd.crowdLabeler(m.dataDir); err != nil {
 			sess.Cancel()
@@ -587,7 +583,7 @@ type ManagedSession struct {
 	crowdLast humo.CrowdStats
 
 	mu          sync.Mutex
-	jr          *deltaJournal
+	jr          *journal
 	unjournaled bool          // labels applied in memory but persisted nowhere (a journal append failed)
 	changed     chan struct{} // closed and replaced whenever the label log grows
 }
@@ -633,7 +629,7 @@ func (s *ManagedSession) Answer(labels map[int]bool) error {
 		return err
 	}
 	if len(applied) > 0 {
-		if err := s.jr.append(applied); err != nil {
+		if err := s.jr.appendDelta(applied); err != nil {
 			// The labels are already in memory and will be acknowledged on
 			// retry whether or not we journal them now. Rewrite the base
 			// instead — a successful compaction persists them, keeping the
@@ -704,7 +700,7 @@ func (s *ManagedSession) runCrowd() {
 // crash between the two leaves deltas that are already folded in; replaying
 // them is idempotent, so recovery stays exact.
 func (s *ManagedSession) compactLocked() error {
-	if err := writeBase(s.cpPath, s.sess.Checkpoint); err != nil {
+	if err := dataio.WriteFileAtomic(s.cpPath, s.sess.Checkpoint); err != nil {
 		return err
 	}
 	if err := s.jr.truncate(); err != nil {

@@ -165,9 +165,7 @@ func clampWorkers(workers int) int {
 // and attributable). Workloads built with an incremental-capable blocking
 // mode (token or lsh) additionally persist the build request as
 // <name>.build.json and stay live: POST /v1/workloads/{name}/records
-// appends records to them — see ingest.go. Static modes (sorted-neighbor)
-// keep writing a .fp sidecar for legacy tooling, after the data so a crash
-// between the two can only lose the redundant copy.
+// appends records to them — see ingest.go.
 func (m *Manager) BuildWorkload(ctx context.Context, req WorkloadRequest) (WorkloadInfo, error) {
 	file := req.Name + ".csv"
 	path := filepath.Join(m.dataDir, file)
@@ -203,12 +201,6 @@ func (m *Manager) BuildWorkload(ctx context.Context, req WorkloadRequest) (Workl
 	}
 	if err := dataio.WriteFileAtomic(path, func(w io.Writer) error {
 		return dataio.WritePairsFingerprinted(w, g.CorePairs(), g.Fingerprint)
-	}); err != nil {
-		return WorkloadInfo{}, err
-	}
-	if err := dataio.WriteFileAtomic(path+".fp", func(w io.Writer) error {
-		_, err := fmt.Fprintln(w, g.Fingerprint)
-		return err
 	}); err != nil {
 		return WorkloadInfo{}, err
 	}

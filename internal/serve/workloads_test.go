@@ -61,68 +61,90 @@ func workloadRequest(name string) WorkloadRequest {
 }
 
 // TestWorkloadEndpoint builds a workload server-side and then resolves it
-// through a session that references the persisted file by name.
+// through a session that references the persisted file by name, once on
+// the live (token) build path and once on the static (sorted) one.
 func TestWorkloadEndpoint(t *testing.T) {
-	srv, dataDir := workloadServer(t)
+	for _, block := range []string{"token", "sorted"} {
+		t.Run(block, func(t *testing.T) {
+			srv, dataDir := workloadServer(t)
+			req := workloadRequest("orders")
+			req.Block = block
+			if block == "sorted" {
+				req.Window = 2
+			}
 
-	var info WorkloadInfo
-	if code := doJSON(t, "POST", srv.URL+"/v1/workloads", workloadRequest("orders"), &info); code != http.StatusCreated {
-		t.Fatalf("create workload: status %d", code)
-	}
-	if info.Name != "orders" || info.File != "orders.csv" || info.Pairs == 0 || info.Fingerprint == "" {
-		t.Fatalf("workload info = %+v", info)
-	}
+			var info WorkloadInfo
+			if code := doJSON(t, "POST", srv.URL+"/v1/workloads", req, &info); code != http.StatusCreated {
+				t.Fatalf("create workload: status %d", code)
+			}
+			if info.Name != "orders" || info.File != "orders.csv" || info.Pairs == 0 || info.Fingerprint == "" {
+				t.Fatalf("workload info = %+v", info)
+			}
 
-	// The persisted artifacts are complete and self-consistent.
-	f, err := os.Open(filepath.Join(dataDir, info.File))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := dataio.ReadPairs(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != info.Pairs {
-		t.Fatalf("file holds %d pairs, response said %d", len(pairs), info.Pairs)
-	}
-	w, err := humo.NewWorkload(pairs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := humo.WorkloadFingerprint(w); got != info.Fingerprint {
-		t.Fatalf("stored workload fingerprint %s, response said %s", got, info.Fingerprint)
-	}
-	// The fingerprint is embedded in the file itself (one atomic artifact —
-	// there is no sidecar to fall out of sync with the data).
-	f, err = os.Open(filepath.Join(dataDir, info.File))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, embedded, err := dataio.ReadPairsFingerprint(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if embedded != info.Fingerprint {
-		t.Fatalf("embedded fingerprint %q does not match response %s", embedded, info.Fingerprint)
-	}
+			// The persisted artifacts are complete and self-consistent.
+			f, err := os.Open(filepath.Join(dataDir, info.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs, err := dataio.ReadPairs(f)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pairs) != info.Pairs {
+				t.Fatalf("file holds %d pairs, response said %d", len(pairs), info.Pairs)
+			}
+			w, err := humo.NewWorkload(pairs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := humo.WorkloadFingerprint(w); got != info.Fingerprint {
+				t.Fatalf("stored workload fingerprint %s, response said %s", got, info.Fingerprint)
+			}
+			// The fingerprint is embedded in the file itself (one atomic
+			// artifact — there is no sidecar to fall out of sync with the
+			// data).
+			f, err = os.Open(filepath.Join(dataDir, info.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, embedded, err := dataio.ReadPairsFingerprint(f)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if embedded != info.Fingerprint {
+				t.Fatalf("embedded fingerprint %q does not match response %s", embedded, info.Fingerprint)
+			}
+			entries, err := os.ReadDir(dataDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			if got := strings.Join(names, ","); got != info.File {
+				t.Fatalf("data directory holds %s, want exactly %s", got, info.File)
+			}
 
-	// Sessions can reference the built workload by file name.
-	create := map[string]any{
-		"id": "sess1", "method": "base",
-		"alpha": 0.8, "beta": 0.8, "theta": 0.8,
-		"workload_file": info.File,
-	}
-	var status Status
-	if code := doJSON(t, "POST", srv.URL+"/v1/sessions", create, &status); code != http.StatusCreated {
-		t.Fatalf("create session over built workload: status %d", code)
-	}
+			// Sessions can reference the built workload by file name.
+			create := map[string]any{
+				"id": "sess1", "method": "base",
+				"alpha": 0.8, "beta": 0.8, "theta": 0.8,
+				"workload_file": info.File,
+			}
+			var status Status
+			if code := doJSON(t, "POST", srv.URL+"/v1/sessions", create, &status); code != http.StatusCreated {
+				t.Fatalf("create session over built workload: status %d", code)
+			}
 
-	// Rebuilding under the same name is a conflict, and the artifacts are
-	// untouched.
-	if code := doJSON(t, "POST", srv.URL+"/v1/workloads", workloadRequest("orders"), nil); code != http.StatusConflict {
-		t.Fatalf("duplicate workload name: status %d, want 409", code)
+			// Rebuilding under the same name is a conflict, and the
+			// artifacts are untouched.
+			if code := doJSON(t, "POST", srv.URL+"/v1/workloads", req, nil); code != http.StatusConflict {
+				t.Fatalf("duplicate workload name: status %d, want 409", code)
+			}
+		})
 	}
 }
 
