@@ -239,13 +239,10 @@ func buildGenerated(cands []Candidate, subsetSize int) (*GeneratedWorkload, erro
 // An IncrementalWorkload is not safe for concurrent use, and Sync must not
 // run concurrently with reads of the tables or the generated workload.
 type IncrementalWorkload struct {
-	ta, tb     *Table
-	subsetSize int
-	inc        *blocking.Incremental
-	g          *GeneratedWorkload
-	lenA, lenB int
-	chain      []string
-	bounds     []int
+	inc    *blocking.Incremental
+	g      *GeneratedWorkload
+	chain  []string
+	bounds []int
 }
 
 // NewIncrementalWorkload generates the initial workload (bit-identical to
@@ -266,9 +263,7 @@ func NewIncrementalWorkload(ctx context.Context, ta, tb *Table, cfg GenConfig) (
 		return nil, err
 	}
 	return &IncrementalWorkload{
-		ta: ta, tb: tb, subsetSize: cfg.SubsetSize,
 		inc: inc, g: g,
-		lenA: ta.Len(), lenB: tb.Len(),
 		chain:  []string{g.Fingerprint},
 		bounds: []int{len(g.Candidates)},
 	}, nil
@@ -283,11 +278,8 @@ func NewIncrementalWorkload(ctx context.Context, ta, tb *Table, cfg GenConfig) (
 // chain records that those records were absorbed) and returns an empty
 // non-nil slice.
 func (iw *IncrementalWorkload) Sync(ctx context.Context) ([]Pair, error) {
-	if iw.ta.Len() == iw.lenA && iw.tb.Len() == iw.lenB {
-		return nil, nil
-	}
 	delta, err := iw.inc.Sync(ctx)
-	if err != nil {
+	if err != nil || delta == nil { // delta is nil exactly when the tables did not grow
 		return nil, err
 	}
 	base := len(iw.g.Candidates)
@@ -301,7 +293,6 @@ func (iw *IncrementalWorkload) Sync(ctx context.Context) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	iw.lenA, iw.lenB = iw.ta.Len(), iw.tb.Len()
 	cands := append(iw.g.Candidates, delta...)
 	iw.g = &GeneratedWorkload{Candidates: cands, Workload: w, Fingerprint: WorkloadFingerprint(w)}
 	iw.chain = append(iw.chain, iw.g.Fingerprint)

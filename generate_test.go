@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -402,5 +403,72 @@ func TestGenerateWorkloadEndToEnd(t *testing.T) {
 	labels := sol.Resolve(g.Workload, o)
 	if len(labels) != g.Workload.Len() {
 		t.Fatalf("resolution labeled %d of %d pairs", len(labels), g.Workload.Len())
+	}
+}
+
+// TestIncrementalWorkloadEpochs pins IncrementalWorkload's epoch contract
+// in both delta-maintained modes: epoch 0 is GenerateWorkload's workload, a
+// Sync without table growth returns nil and adds no epoch, growth that
+// pairs with nothing returns an empty non-nil delta and still adds an
+// epoch, and every epoch's candidate list is a prefix of every later one's.
+func TestIncrementalWorkloadEpochs(t *testing.T) {
+	ctx := context.Background()
+	fullA, fullB := genTables(200, 240, 5)
+	for _, block := range []humo.BlockingMode{humo.BlockToken, humo.BlockLSH} {
+		t.Run(string(block), func(t *testing.T) {
+			cfg := genConfig()
+			cfg.Block = block
+			ta := &humo.Table{Name: fullA.Name, Attributes: fullA.Attributes, Records: slices.Clone(fullA.Records[:150])}
+			tb := &humo.Table{Name: fullB.Name, Attributes: fullB.Attributes, Records: slices.Clone(fullB.Records[:180])}
+			want, err := humo.GenerateWorkload(ctx, ta, tb, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iw, err := humo.NewIncrementalWorkload(ctx, ta, tb, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if iw.Fingerprint() != want.Fingerprint || !slices.Equal(iw.Generated().Candidates, want.Candidates) {
+				t.Fatalf("epoch 0: fingerprint %s, %d candidates; GenerateWorkload has %s, %d",
+					iw.Fingerprint(), len(iw.Generated().Candidates), want.Fingerprint, len(want.Candidates))
+			}
+			epochs := [][]humo.Candidate{slices.Clone(iw.Generated().Candidates)}
+
+			if delta, err := iw.Sync(ctx); err != nil || delta != nil || iw.Epoch() != 0 {
+				t.Fatalf("Sync without growth: delta %v, err %v, epoch %d; want nil, nil, 0", delta, err, iw.Epoch())
+			}
+
+			// A one-token record is below both modes' size floor.
+			if _, err := ta.Append(humo.Record{ID: 9000, EntityID: 9000, Values: []string{"zzlone", "zzlone"}}); err != nil {
+				t.Fatal(err)
+			}
+			delta, err := iw.Sync(ctx)
+			if err != nil || delta == nil || len(delta) != 0 || iw.Epoch() != 1 {
+				t.Fatalf("growth without candidates: delta %v (nil %t), err %v, epoch %d; want empty non-nil, nil, 1",
+					delta, delta == nil, err, iw.Epoch())
+			}
+			epochs = append(epochs, slices.Clone(iw.Generated().Candidates))
+
+			if _, err := ta.Append(fullA.Records[150:]...); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.Append(fullB.Records[180:]...); err != nil {
+				t.Fatal(err)
+			}
+			if delta, err = iw.Sync(ctx); err != nil || len(delta) == 0 || iw.Epoch() != 2 {
+				t.Fatalf("growth: %d delta pairs, err %v, epoch %d; want some, nil, 2", len(delta), err, iw.Epoch())
+			}
+			epochs = append(epochs, slices.Clone(iw.Generated().Candidates))
+
+			final, bounds, chain := iw.Generated().Candidates, iw.Boundaries(), iw.Chain()
+			if len(bounds) != len(epochs) || len(chain) != len(epochs) || chain[0] != want.Fingerprint || chain[2] != iw.Fingerprint() {
+				t.Fatalf("bounds %v, chain %v over %d epochs", bounds, chain, len(epochs))
+			}
+			for e, cands := range epochs {
+				if bounds[e] != len(cands) || !slices.Equal(final[:bounds[e]], cands) {
+					t.Fatalf("epoch %d: boundary %d, %d candidates then; not a prefix of the final list", e, bounds[e], len(cands))
+				}
+			}
+		})
 	}
 }

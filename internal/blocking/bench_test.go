@@ -91,7 +91,7 @@ func BenchmarkTokenBlocked(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pairs, err := TokenBlocked(s, "name", 2, 0.2)
+				pairs, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "name", MinShared: 2, Threshold: 0.2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -206,7 +206,7 @@ func BenchmarkLSHBlocked(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pairs, err := LSHBlocked(s, "name", 2, 32, 0.2)
+				pairs, err := Generate(context.Background(), s, Options{Mode: ModeLSH, Attribute: "name", Rows: 2, Bands: 32, Threshold: 0.2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -226,7 +226,7 @@ func BenchmarkCrossProduct(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if pairs := CrossProduct(s, 0.2); len(pairs) == 0 {
+		if pairs := mustGenerate(b, s, Options{Threshold: 0.2}); len(pairs) == 0 {
 			b.Fatal("no pairs")
 		}
 	}
@@ -242,5 +242,32 @@ func BenchmarkScorePair(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.ScoreWith(sc, i%100, (i*7)%100)
+	}
+}
+
+// BenchmarkNewIncremental times a live workload's epoch 0 at 10k records:
+// the initial candidates plus the blocking state later Syncs extend.
+func BenchmarkNewIncremental(b *testing.B) {
+	ta, tb := benchSynthTables(10000, 42)
+	s, err := NewScorer(ta, tb, synthSpecs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, opt := range []Options{
+		{Mode: ModeToken, Attribute: "name", MinShared: 2, Threshold: 0.2},
+		{Mode: ModeLSH, Attribute: "name", Rows: 2, Bands: 32, Threshold: 0.2},
+	} {
+		b.Run(string(opt.Mode), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, pairs, err := NewIncremental(context.Background(), s, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(pairs) == 0 {
+					b.Fatal("no pairs")
+				}
+			}
+		})
 	}
 }

@@ -21,15 +21,17 @@
 // inverted-index token join with size and prefix filtering (exact and
 // scalable), banded bottom-Rows MinHash sketches (ModeLSH, the
 // sub-quadratic path for million-record tables with skewed vocabularies;
-// see lsh.go), and a classical sorted-neighborhood pass. ModeToken and
-// ModeLSH additionally support delta maintenance under table appends
-// (incremental.go): Incremental retains the inverted index / band tables
-// and emits only the new-vs-old and new-vs-new candidates, bit-identical in
-// union to a from-scratch rebuild.
+// see lsh.go), and a classical sorted-neighborhood pass, all reached
+// through Generate. ModeToken and ModeLSH additionally support delta
+// maintenance under table appends (incremental.go): Incremental retains the
+// inverted index / band tables and emits only the new-vs-old and
+// new-vs-new candidates, bit-identical in union to a from-scratch rebuild.
+// Its epoch 0 is the same delta step run from empty retained state, so a
+// live workload's blocking state is built once, not generated and then
+// rebuilt.
 package blocking
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -375,34 +377,6 @@ func (s *Scorer) attrSim(sc *Scratch, k, i, j int) float64 {
 	default:
 		panic(fmt.Sprintf("blocking: unknown kind %v", s.specs[k].Kind))
 	}
-}
-
-// CrossProduct scores every record pair and keeps those with aggregated
-// similarity >= threshold. Equivalent to Generate with ModeCross; kept as
-// the simple sequential-looking entry point (it shards internally).
-func CrossProduct(s *Scorer, threshold float64) []Pair {
-	pairs, _ := Generate(context.Background(), s, Options{Mode: ModeCross, Threshold: threshold})
-	return pairs
-}
-
-// TokenBlocked generates candidates via an inverted token index on the named
-// attribute: pairs sharing at least minShared tokens are scored, and those
-// at or above the similarity threshold are kept. It never produces
-// duplicates. Equivalent to Generate with ModeToken.
-func TokenBlocked(s *Scorer, attribute string, minShared int, threshold float64) ([]Pair, error) {
-	return Generate(context.Background(), s, Options{
-		Mode: ModeToken, Attribute: attribute, MinShared: minShared, Threshold: threshold,
-	})
-}
-
-// SortedNeighborhood slides a window of the given size over the union of
-// both tables sorted by the named attribute and scores pairs that fall into
-// a common window, keeping those at or above the threshold. Equivalent to
-// Generate with ModeSorted.
-func SortedNeighborhood(s *Scorer, attribute string, window int, threshold float64) ([]Pair, error) {
-	return Generate(context.Background(), s, Options{
-		Mode: ModeSorted, Attribute: attribute, Window: window, Threshold: threshold,
-	})
 }
 
 // DistinctValueSpecs fills in the Weight of each spec from the number of

@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -117,11 +118,11 @@ func TestCrossProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := CrossProduct(s, 0)
+	all := mustGenerate(t, s, Options{Threshold: 0})
 	if len(all) != 9 {
 		t.Fatalf("threshold 0 should keep all 9 pairs, got %d", len(all))
 	}
-	some := CrossProduct(s, 0.5)
+	some := mustGenerate(t, s, Options{Threshold: 0.5})
 	if len(some) >= 9 || len(some) == 0 {
 		t.Fatalf("threshold 0.5 kept %d pairs", len(some))
 	}
@@ -138,7 +139,7 @@ func TestTokenBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := TokenBlocked(s, "title", 2, 0)
+	pairs, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "title", MinShared: 2, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +161,10 @@ func TestTokenBlocked(t *testing.T) {
 			t.Errorf("pair (%d,%d) sim %v, want %v", p.A, p.B, p.Sim, want)
 		}
 	}
-	if _, err := TokenBlocked(s, "title", 0, 0); !errors.Is(err, ErrBadSpec) {
+	if _, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "title", MinShared: 0, Threshold: 0}); !errors.Is(err, ErrBadSpec) {
 		t.Error("minShared=0 should fail")
 	}
-	if _, err := TokenBlocked(s, "missing", 1, 0); err == nil {
+	if _, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "missing", MinShared: 1, Threshold: 0}); err == nil {
 		t.Error("missing attribute should fail")
 	}
 }
@@ -171,8 +172,8 @@ func TestTokenBlocked(t *testing.T) {
 func TestTokenBlockedSubsetOfCrossProduct(t *testing.T) {
 	a, b := twoTables()
 	s, _ := NewScorer(a, b, defaultSpecs())
-	cross := CrossProduct(s, 0.3)
-	blocked, err := TokenBlocked(s, "title", 1, 0.3)
+	cross := mustGenerate(t, s, Options{Threshold: 0.3})
+	blocked, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "title", MinShared: 1, Threshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestTokenBlockedSubsetOfCrossProduct(t *testing.T) {
 func TestSortedNeighborhood(t *testing.T) {
 	a, b := twoTables()
 	s, _ := NewScorer(a, b, defaultSpecs())
-	pairs, err := SortedNeighborhood(s, "title", 3, 0)
+	pairs, err := Generate(context.Background(), s, Options{Mode: ModeSorted, Attribute: "title", Window: 3, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +214,10 @@ func TestSortedNeighborhood(t *testing.T) {
 		}
 		seen[key] = true
 	}
-	if _, err := SortedNeighborhood(s, "title", 1, 0); !errors.Is(err, ErrBadSpec) {
+	if _, err := Generate(context.Background(), s, Options{Mode: ModeSorted, Attribute: "title", Window: 1, Threshold: 0}); !errors.Is(err, ErrBadSpec) {
 		t.Error("window < 2 should fail")
 	}
-	if _, err := SortedNeighborhood(s, "missing", 3, 0); err == nil {
+	if _, err := Generate(context.Background(), s, Options{Mode: ModeSorted, Attribute: "missing", Window: 3, Threshold: 0}); err == nil {
 		t.Error("missing attribute should fail")
 	}
 }
@@ -240,4 +241,14 @@ func TestDistinctValueSpecs(t *testing.T) {
 	if _, err := DistinctValueSpecs(a, b, []AttributeSpec{{Attribute: "nope"}}); err == nil {
 		t.Error("missing attribute should fail")
 	}
+}
+
+// mustGenerate is Generate for cases that cannot fail.
+func mustGenerate(tb testing.TB, s *Scorer, opt Options) []Pair {
+	tb.Helper()
+	pairs, err := Generate(context.Background(), s, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pairs
 }

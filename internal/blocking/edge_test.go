@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -35,15 +36,15 @@ func assertAllModesAgree(t *testing.T, ta, tb *records.Table) {
 	}
 	ref := newRefScorer(t, ta, tb, specs)
 
-	requirePairsEqual(t, "cross", CrossProduct(s, 0.1), refCrossProduct(ref, 0.1))
+	requirePairsEqual(t, "cross", mustGenerate(t, s, Options{Threshold: 0.1}), refCrossProduct(ref, 0.1))
 
-	got, err := TokenBlocked(s, "name", 1, 0.1)
+	got, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "name", MinShared: 1, Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requirePairsEqual(t, "token", got, refTokenBlocked(t, ref, "name", 1, 0.1))
 
-	got, err = SortedNeighborhood(s, "name", 4, 0.1)
+	got, err = Generate(context.Background(), s, Options{Mode: ModeSorted, Attribute: "name", Window: 4, Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +98,10 @@ func TestEdgeAttributeMissingFromOneTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TokenBlocked(s, "brand", 1, 0); !errors.Is(err, records.ErrBadTable) {
+	if _, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "brand", MinShared: 1, Threshold: 0}); !errors.Is(err, records.ErrBadTable) {
 		t.Errorf("token blocking on missing attribute: err = %v, want ErrBadTable", err)
 	}
-	if _, err := SortedNeighborhood(s, "brand", 3, 0); !errors.Is(err, records.ErrBadTable) {
+	if _, err := Generate(context.Background(), s, Options{Mode: ModeSorted, Attribute: "brand", Window: 3, Threshold: 0}); !errors.Is(err, records.ErrBadTable) {
 		t.Errorf("sorted blocking on missing attribute: err = %v, want ErrBadTable", err)
 	}
 }
@@ -116,7 +117,7 @@ func TestEdgeWindowLargerThanTables(t *testing.T) {
 	}
 	ref := newRefScorer(t, ta, tb, specs)
 	window := len(ta.Records) + len(tb.Records) + 5
-	got, err := SortedNeighborhood(s, "name", window, 0)
+	got, err := Generate(context.Background(), s, Options{Mode: ModeSorted, Attribute: "name", Window: window, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +153,13 @@ func TestEdgeThresholdBoundary(t *testing.T) {
 		t.Fatalf("boundary pair scores %v, want exactly 0.5", sim)
 	}
 
-	cross := CrossProduct(s, 0.5)
+	cross := mustGenerate(t, s, Options{Threshold: 0.5})
 	requirePairsEqual(t, "boundary cross", cross, refCrossProduct(ref, 0.5))
 	if len(cross) != 1 || cross[0] != (Pair{A: 0, B: 0, Sim: 0.5}) {
 		t.Fatalf("threshold-equal pair not kept: %+v", cross)
 	}
 
-	tok, err := TokenBlocked(s, "name", 2, 0.5)
+	tok, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "name", MinShared: 2, Threshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestEdgeThresholdBoundary(t *testing.T) {
 	}
 
 	// Nudging the threshold one ulp above 0.5 drops the pair.
-	above := CrossProduct(s, 0.5000000000000001)
+	above := mustGenerate(t, s, Options{Threshold: 0.5000000000000001})
 	if len(above) != 0 {
 		t.Fatalf("pair above threshold kept: %+v", above)
 	}
@@ -185,7 +186,7 @@ func TestEdgeMinSharedExactTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TokenBlocked(s, "name", 3, 0)
+	got, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "name", MinShared: 3, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestEdgeEmptyAttributeValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TokenBlocked(s, "name", 1, 0)
+	got, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "name", MinShared: 1, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestEdgeEmptyAttributeValues(t *testing.T) {
 		t.Fatalf("pairs from empty blocking values: %+v", got)
 	}
 	// Same contract on the LSH path: no sketches, no candidates, no error.
-	got, err = LSHBlocked(s, "name", 2, 8, 0)
+	got, err = Generate(context.Background(), s, Options{Mode: ModeLSH, Attribute: "name", Rows: 2, Bands: 8, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestEdgeEmptyAttributeValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = TokenBlocked(s2, "name", 1, 0.1)
+	got, err = Generate(context.Background(), s2, Options{Mode: ModeToken, Attribute: "name", MinShared: 1, Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestEdgeMinSharedExceedsTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := newRefScorer(t, ta, tb, specs)
-	got, err := TokenBlocked(s, "name", 3, 0)
+	got, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "name", MinShared: 3, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package blocking
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"humo/internal/parallel"
 	"humo/internal/similarity"
@@ -16,7 +16,8 @@ import (
 // prefix index for ModeToken, the per-band sorted bucket tables for ModeLSH
 // — and, after the scorer's tables grow through records.Table.Append, emits
 // only the delta: candidates pairing a new record with an old one or two
-// new records with each other.
+// new records with each other. Construction is the same delta step run
+// from empty retained state, with every record new.
 //
 // Equivalence contract, pinned by TestIncrementalEquivalence: the union of
 // the initial pairs and every Sync delta equals — same (A, B) set, same
@@ -33,8 +34,7 @@ import (
 //     fixed total order, and verification against the real token lists
 //     makes the candidate set independent of which order pruned the probes.
 //   - Every candidate is verified (shared-token floor, then the similarity
-//     threshold) exactly as in the from-scratch path, and deltas are scored
-//     through the same order-stable fanOut.
+//     threshold) and scored exactly as in the from-scratch path.
 //
 // Similarity bits: KindJaccard, KindJaroWinkler and KindLevenshtein scores
 // are pure functions of the record strings. KindCosine accumulates its dot
@@ -76,25 +76,34 @@ type Incremental struct {
 // two binary searches.
 const tailFoldRatio = 8
 
-// NewIncremental runs one from-scratch generation over the scorer's current
-// tables — the returned pairs are bit-identical to Generate(ctx, s, opt) —
-// and retains the blocking state future Sync calls maintain. Only ModeToken
-// and ModeLSH support delta maintenance.
+// NewIncremental builds the epoch-0 candidates of the scorer's current
+// tables — bit-identical to Generate(ctx, s, opt) — by running Sync's delta
+// step from empty retained state, so the returned state is ready for
+// future Sync calls. Only ModeToken and ModeLSH support delta maintenance.
 func NewIncremental(ctx context.Context, s *Scorer, opt Options) (*Incremental, []Pair, error) {
 	if opt.Mode != ModeToken && opt.Mode != ModeLSH {
 		return nil, nil, fmt.Errorf("%w: incremental maintenance needs mode token or lsh, not %q", ErrBadSpec, opt.Mode)
 	}
-	pairs, err := Generate(ctx, s, opt)
-	if err != nil {
+	if err := opt.validate(); err != nil {
 		return nil, nil, err
 	}
-	inc := &Incremental{s: s, opt: opt, lenA: len(s.ta.Records), lenB: len(s.tb.Records)}
+	inc := &Incremental{s: s, opt: opt}
 	switch opt.Mode {
 	case ModeToken:
-		err = inc.initToken()
+		tokA, tokB, err := s.blockTokens(opt.Attribute)
+		if err != nil {
+			return nil, nil, err
+		}
+		inc.df = docFreq(s.dict.Len(), tokA, tokB)
 	case ModeLSH:
-		err = inc.initLSH(ctx)
+		inc.seeds = lshSeeds(opt.Bands)
+		inc.floor = lshFloor(opt)
+		inc.entA = make([][]uint64, opt.Bands)
+		inc.entB = make([][]uint64, opt.Bands)
+		inc.tailA = make([][]uint64, opt.Bands)
+		inc.tailB = make([][]uint64, opt.Bands)
 	}
+	pairs, err := inc.step(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,8 +114,10 @@ func NewIncremental(ctx context.Context, s *Scorer, opt Options) (*Incremental, 
 // (or the previous Sync): the scorer's representations are extended, the
 // retained index state is updated, and the scored new-vs-old and
 // new-vs-new candidate pairs come back sorted by (A, B). A Sync with no
-// table growth returns nil. On error (context cancellation included) the
-// retained index state is unchanged, so Sync can simply be retried.
+// table growth returns nil; one with growth returns a non-nil slice, empty
+// when the new records pair with nothing. On error (context cancellation
+// included) the retained index state is unchanged, so Sync can simply be
+// retried.
 func (inc *Incremental) Sync(ctx context.Context) ([]Pair, error) {
 	newA, newB := len(inc.s.ta.Records), len(inc.s.tb.Records)
 	if newA < inc.lenA || newB < inc.lenB {
@@ -116,128 +127,58 @@ func (inc *Incremental) Sync(ctx context.Context) ([]Pair, error) {
 		return nil, nil
 	}
 	inc.s.extend()
-	var (
-		cands  []uint64
-		commit func()
-		err    error
-	)
-	switch inc.opt.Mode {
-	case ModeToken:
-		cands, commit, err = inc.deltaToken(ctx)
-	case ModeLSH:
-		cands, commit, err = inc.deltaLSH(ctx)
-	}
+	return inc.step(ctx)
+}
+
+// step is the one delta step of construction and Sync: it scores the
+// verified candidates involving records past lenA/lenB and only then
+// commits the grown index state and lengths.
+func (inc *Incremental) step(ctx context.Context) ([]Pair, error) {
+	tokA, tokB, err := inc.s.blockTokens(inc.opt.Attribute)
 	if err != nil {
 		return nil, err
 	}
-	cands = sortCompact(cands)
-	pairs, err := fanOut(ctx, inc.s, inc.opt.Workers, len(cands), func(sc *Scratch, lo, hi int) ([]Pair, error) {
-		var out []Pair
-		for c := lo; c < hi; c++ {
-			if (c-lo)%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			i, j := int(cands[c]>>32), int(cands[c]&0xffffffff)
-			if sim := inc.s.ScoreWith(sc, i, j); sim >= inc.opt.Threshold {
-				out = append(out, Pair{A: i, B: j, Sim: sim})
-			}
-		}
-		return out, nil
-	})
+	var (
+		pairs  []Pair
+		commit func()
+	)
+	if inc.opt.Mode == ModeToken {
+		pairs, commit, err = inc.deltaToken(ctx, tokA, tokB)
+	} else {
+		pairs, commit, err = inc.deltaLSH(ctx, tokA, tokB)
+	}
 	if err != nil {
 		return nil, err
 	}
 	commit()
-	inc.lenA, inc.lenB = newA, newB
+	inc.lenA, inc.lenB = len(tokA), len(tokB)
 	return pairs, nil
 }
 
-// initToken builds the retained ModeToken state over the initial tables:
-// the frozen document frequencies and the prefix inverted indexes of both
-// tables.
-func (inc *Incremental) initToken() error {
-	tokA, tokB, err := inc.s.blockTokens(inc.opt.Attribute)
-	if err != nil {
-		return err
-	}
-	k := inc.opt.MinShared
-	inc.df = make([]int32, inc.s.dict.Len())
-	for _, toks := range tokA {
-		for _, t := range toks {
-			inc.df[t]++
-		}
-	}
-	for _, toks := range tokB {
-		for _, t := range toks {
-			inc.df[t]++
-		}
-	}
-	inc.postA = make([][]int32, inc.s.dict.Len())
-	inc.postB = make([][]int32, inc.s.dict.Len())
-	for i, toks := range tokA {
-		for _, t := range inc.prefix(toks, k) {
-			inc.postA[t] = append(inc.postA[t], int32(i))
-		}
-	}
-	for j, toks := range tokB {
-		for _, t := range inc.prefix(toks, k) {
-			inc.postB[t] = append(inc.postB[t], int32(j))
-		}
-	}
-	return nil
-}
-
-// prefix is generateToken's size + prefix filter under the frozen order:
-// nil for records below the size floor, otherwise the first len-k+1 tokens
-// ordered by (frozen df ascending, id ascending). The order never changes
-// once a token exists — later-interned tokens slot in at frequency zero and
-// old frequencies are never updated — so prefixes computed at different
-// epochs are mutually consistent and the prefix lemma holds across them.
-func (inc *Incremental) prefix(toks []int32, k int) []int32 {
-	if len(toks) < k {
-		return nil
-	}
-	p := append([]int32(nil), toks...)
-	sort.Slice(p, func(x, y int) bool {
-		a, b := p[x], p[y]
-		if inc.df[a] != inc.df[b] {
-			return inc.df[a] < inc.df[b]
-		}
-		return a < b
-	})
-	return p[:len(p)-k+1]
-}
-
-// deltaToken probes the appended records through the retained prefix
+// deltaToken probes the records past lenA/lenB through the retained prefix
 // indexes: each new A record against all of B (old via postB, new via a
 // batch-local index), each new B record against old A only — together
 // exactly the pairs that involve at least one new record, with no
-// double-counting. The retained indexes are only mutated by the returned
-// commit, so a failed Sync leaves them at the previous epoch.
-func (inc *Incremental) deltaToken(ctx context.Context) (cands []uint64, commit func(), err error) {
-	tokA, tokB, err := inc.s.blockTokens(inc.opt.Attribute)
-	if err != nil {
-		return nil, nil, err
-	}
+// double-counting, so the scored pairs need no dedupe. The retained
+// indexes are only mutated by the returned commit, so a failed step leaves
+// them at the previous epoch.
+func (inc *Incremental) deltaToken(ctx context.Context, tokA, tokB [][]int32) (pairs []Pair, commit func(), err error) {
 	k := inc.opt.MinShared
 	oldA, oldB := inc.lenA, inc.lenB
 	newA, newB := len(tokA), len(tokB)
 	// Freeze the prefix order over the grown dictionary: tokens interned
 	// after construction keep document frequency zero forever.
-	if n := inc.s.dict.Len(); n > len(inc.df) {
-		inc.df = append(inc.df, make([]int32, n-len(inc.df))...)
-		inc.postA = append(inc.postA, make([][]int32, n-len(inc.postA))...)
-		inc.postB = append(inc.postB, make([][]int32, n-len(inc.postB))...)
-	}
+	n := inc.s.dict.Len()
+	inc.df = append(inc.df, make([]int32, n-len(inc.df))...)
+	inc.postA = append(inc.postA, make([][]int32, n-len(inc.postA))...)
+	inc.postB = append(inc.postB, make([][]int32, n-len(inc.postB))...)
 	prefNewA := make([][]int32, newA-oldA)
 	for i := oldA; i < newA; i++ {
-		prefNewA[i-oldA] = inc.prefix(tokA[i], k)
+		prefNewA[i-oldA] = tokenPrefix(inc.df, tokA[i], k)
 	}
 	prefNewB := make([][]int32, newB-oldB)
 	for j := oldB; j < newB; j++ {
-		prefNewB[j-oldB] = inc.prefix(tokB[j], k)
+		prefNewB[j-oldB] = tokenPrefix(inc.df, tokB[j], k)
 	}
 	// Batch-local inverted index over the new B prefixes, so new-A probes
 	// see new B without mutating the retained postB yet.
@@ -248,65 +189,18 @@ func (inc *Incremental) deltaToken(ctx context.Context) (cands []uint64, commit 
 		}
 	}
 
-	seen := make([]bool, newB)
-	touched := make([]int32, 0, 64)
-	// New A against all of B (old and new).
-	for i := oldA; i < newA; i++ {
-		if (i-oldA)%ctxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		touched = touched[:0]
-		for _, t := range prefNewA[i-oldA] {
-			for _, j := range inc.postB[t] {
-				if !seen[j] {
-					seen[j] = true
-					touched = append(touched, j)
-				}
-			}
-			for _, j := range postNewB[t] {
-				if !seen[j] {
-					seen[j] = true
-					touched = append(touched, j)
-				}
-			}
-		}
-		sort.Slice(touched, func(x, y int) bool { return touched[x] < touched[y] })
-		for _, j := range touched {
-			seen[j] = false
-			if similarity.IntersectCount(tokA[i], tokB[j]) < k {
-				continue
-			}
-			cands = append(cands, uint64(uint32(i))<<32|uint64(uint32(j)))
-		}
+	// New A against all of B (old and new), then new B against old A only:
+	// new-A×new-B pairs were already found by the first probe.
+	fromA, err := inc.probe(ctx, prefNewA, oldA, tokA, tokB, inc.postB, postNewB, true)
+	if err != nil {
+		return nil, nil, err
 	}
-	// New B against old A only — new-A×new-B pairs were already found above.
-	seenA := make([]bool, oldA)
-	for j := oldB; j < newB; j++ {
-		if (j-oldB)%ctxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		touched = touched[:0]
-		for _, t := range prefNewB[j-oldB] {
-			for _, i := range inc.postA[t] {
-				if !seenA[i] {
-					seenA[i] = true
-					touched = append(touched, i)
-				}
-			}
-		}
-		sort.Slice(touched, func(x, y int) bool { return touched[x] < touched[y] })
-		for _, i := range touched {
-			seenA[i] = false
-			if similarity.IntersectCount(tokA[i], tokB[j]) < k {
-				continue
-			}
-			cands = append(cands, uint64(uint32(i))<<32|uint64(uint32(j)))
-		}
+	fromB, err := inc.probe(ctx, prefNewB, oldB, tokB, tokA, inc.postA, nil, false)
+	if err != nil {
+		return nil, nil, err
 	}
+	pairs = append(fromA, fromB...)
+	slices.SortFunc(pairs, func(x, y Pair) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
 	commit = func() {
 		for i := oldA; i < newA; i++ {
 			for _, t := range prefNewA[i-oldA] {
@@ -319,55 +213,66 @@ func (inc *Incremental) deltaToken(ctx context.Context) (cands []uint64, commit 
 			}
 		}
 	}
-	return cands, commit, nil
+	return pairs, commit, nil
 }
 
-// initLSH builds the retained ModeLSH state over the initial tables: band
-// seeds, the verification floor, and both tables' per-band sorted bucket
-// entries.
-func (inc *Incremental) initLSH(ctx context.Context) error {
-	rows, bands := inc.opt.Rows, inc.opt.Bands
-	tokA, tokB, err := inc.s.blockTokens(inc.opt.Attribute)
-	if err != nil {
-		return err
-	}
-	inc.seeds = lshSeeds(bands)
-	inc.floor = inc.opt.MinShared
-	if inc.floor < rows {
-		inc.floor = rows
-	}
-	hashes := inc.s.dict.TokenHashes()
-	keysA, err := lshBandKeys(ctx, inc.opt.Workers, tokA, hashes, inc.seeds, rows, bands)
-	if err != nil {
-		return err
-	}
-	keysB, err := lshBandKeys(ctx, inc.opt.Workers, tokB, hashes, inc.seeds, rows, bands)
-	if err != nil {
-		return err
-	}
-	inc.entA = make([][]uint64, bands)
-	inc.entB = make([][]uint64, bands)
-	inc.tailA = make([][]uint64, bands)
-	inc.tailB = make([][]uint64, bands)
-	for b := 0; b < bands; b++ {
-		inc.entA[b] = lshBandEntries(tokA, keysA, rows, bands, b, 0, len(tokA))
-		inc.entB[b] = lshBandEntries(tokB, keysB, rows, bands, b, 0, len(tokB))
-	}
-	return nil
+// probe is deltaToken's prefix-index probe of the records base,
+// base+1, ... of one table, whose prefixes are pref: a record's candidates
+// are the other table's records listed under its prefix tokens in post or
+// batch that share at least MinShared tokens with it. They are scored right
+// there, as in generateToken, so only pairs at or above the threshold are
+// ever held. probeIsA says which table own is; each record's pairs come
+// back in partner order.
+func (inc *Incremental) probe(ctx context.Context, pref [][]int32, base int, own, other, post [][]int32, batch map[int32][]int32, probeIsA bool) ([]Pair, error) {
+	return fanOut(ctx, inc.s, inc.opt.Workers, len(pref), func(sc *Scratch, lo, hi int) ([]Pair, error) {
+		seen := make([]bool, len(other))
+		touched := make([]int32, 0, 64)
+		var out []Pair
+		for x := lo; x < hi; x++ {
+			if (x-lo)%ctxStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			touched = touched[:0]
+			for _, t := range pref[x] {
+				for _, list := range [2][]int32{post[t], batch[t]} {
+					for _, p := range list {
+						if !seen[p] {
+							seen[p] = true
+							touched = append(touched, p)
+						}
+					}
+				}
+			}
+			slices.Sort(touched)
+			r := base + x
+			for _, p := range touched {
+				seen[p] = false
+				if similarity.IntersectCount(own[r], other[p]) < inc.opt.MinShared {
+					continue
+				}
+				a, b := r, int(p)
+				if !probeIsA {
+					a, b = b, a
+				}
+				if sim := inc.s.ScoreWith(sc, a, b); sim >= inc.opt.Threshold {
+					out = append(out, Pair{A: a, B: b, Sim: sim})
+				}
+			}
+		}
+		return out, nil
+	})
 }
 
-// deltaLSH sketches only the appended records and joins them against the
-// retained band tables: per band, new-A×old-B, new-A×new-B and old-A×new-B
-// — every colliding pair that involves a new record, each verified against
-// the shared-token floor inline. The old sides are probed by binary search
-// per new key (base and tail separately), so a Sync reads only the buckets
-// the new records hash into. The retained tables are only swapped for
-// their grown successors by the returned commit.
-func (inc *Incremental) deltaLSH(ctx context.Context) (cands []uint64, commit func(), err error) {
-	tokA, tokB, err := inc.s.blockTokens(inc.opt.Attribute)
-	if err != nil {
-		return nil, nil, err
-	}
+// deltaLSH sketches only the records past lenA/lenB and joins them against
+// the retained band tables: per band, new-A×old-B, new-A×new-B and
+// old-A×new-B — every colliding pair that involves a new record, each
+// verified against the shared-token floor inline. The old sides are probed
+// by binary search per new key (base and tail separately), so a Sync reads
+// only the buckets the new records hash into. The retained tables are only
+// swapped for their grown successors by the returned commit.
+func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pairs []Pair, commit func(), err error) {
 	rows, bands := inc.opt.Rows, inc.opt.Bands
 	oldA, oldB := inc.lenA, inc.lenB
 	hashes := inc.s.dict.TokenHashes()
@@ -409,9 +314,12 @@ func (inc *Incremental) deltaLSH(ctx context.Context) (cands []uint64, commit fu
 	for _, o := range outs {
 		total += len(o.pairs)
 	}
-	cands = make([]uint64, 0, total)
+	cands := make([]uint64, 0, total)
 	for _, o := range outs {
 		cands = append(cands, o.pairs...)
+	}
+	if pairs, err = scorePacked(ctx, inc.s, inc.opt, cands); err != nil {
+		return nil, nil, err
 	}
 	commit = func() {
 		for b := 0; b < bands; b++ {
@@ -419,7 +327,7 @@ func (inc *Incremental) deltaLSH(ctx context.Context) (cands []uint64, commit fu
 			inc.entB[b], inc.tailB[b] = outs[b].entB, outs[b].tailB
 		}
 	}
-	return cands, commit, nil
+	return pairs, commit, nil
 }
 
 // lshProbe joins sorted new entries against one sorted retained table by

@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -202,6 +203,47 @@ func TestIncrementalRejectsStaticModes(t *testing.T) {
 	for _, mode := range []Mode{ModeCross, ModeSorted} {
 		if _, _, err := NewIncremental(context.Background(), s, Options{Mode: mode, Attribute: "name", Window: 4, Threshold: 0.3}); err == nil {
 			t.Fatalf("mode %q: NewIncremental succeeded, want error", mode)
+		}
+	}
+}
+
+// TestBadOptionsRejectedAlike: Generate and NewIncremental refuse the same
+// bad options with the same error, so a live workload cannot accept a
+// configuration the static path rejects.
+func TestBadOptionsRejectedAlike(t *testing.T) {
+	ta, tb := synthTables(20, 20, 9)
+	tbNoBrand := &records.Table{Name: tb.Name, Attributes: []string{"name", "description"}}
+	for _, r := range tb.Records {
+		tbNoBrand.Records = append(tbNoBrand.Records, records.Record{ID: r.ID, EntityID: r.EntityID, Values: r.Values[:2]})
+	}
+	s, err := NewScorer(ta, tbNoBrand, []AttributeSpec{
+		{Attribute: "name", Kind: KindJaccard, Weight: 1},
+		{Attribute: "description", Kind: KindJaccard, Weight: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsh := func(attr string, rows, bands int) Options {
+		return Options{Mode: ModeLSH, Attribute: attr, Rows: rows, Bands: bands, Threshold: 0.3}
+	}
+	cases := []struct {
+		name string
+		opt  Options
+		want error
+	}{
+		{"lsh rows 0", lsh("name", 0, 8), ErrBadSpec},
+		{"lsh bands 0", lsh("name", 2, 0), ErrBadSpec},
+		{"lsh rows*bands over the cap", lsh("name", 2, maxLSHHashes/2+1), ErrBadSpec},
+		{"token minShared 0", Options{Mode: ModeToken, Attribute: "name", Threshold: 0.3}, ErrBadSpec},
+		{"token attribute missing from B", Options{Mode: ModeToken, Attribute: "brand", MinShared: 1, Threshold: 0.3}, records.ErrBadTable},
+		{"lsh attribute missing from B", lsh("brand", 2, 8), records.ErrBadTable},
+	}
+	for _, c := range cases {
+		if _, err := Generate(context.Background(), s, c.opt); !errors.Is(err, c.want) {
+			t.Errorf("%s: Generate err = %v, want %v", c.name, err, c.want)
+		}
+		if _, _, err := NewIncremental(context.Background(), s, c.opt); !errors.Is(err, c.want) {
+			t.Errorf("%s: NewIncremental err = %v, want %v", c.name, err, c.want)
 		}
 	}
 }

@@ -91,6 +91,9 @@ func Generate(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 	if opt.Mode == "" {
 		opt.Mode = ModeCross
 	}
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	switch opt.Mode {
 	case ModeCross:
 		return generateCross(ctx, s, opt)
@@ -98,11 +101,31 @@ func Generate(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 		return generateToken(ctx, s, opt)
 	case ModeSorted:
 		return generateSorted(ctx, s, opt)
-	case ModeLSH:
-		return generateLSH(ctx, s, opt)
 	default:
-		return nil, fmt.Errorf("%w: unknown blocking mode %q (want cross, token, sorted or lsh)", ErrBadSpec, opt.Mode)
+		return generateLSH(ctx, s, opt)
 	}
+}
+
+// validate checks the mode and its parameters, the checks Generate and
+// NewIncremental share. The attribute is checked against the tables later,
+// where the strategy first reads it.
+func (opt Options) validate() error {
+	if _, err := ParseMode(string(opt.Mode)); err != nil {
+		return err
+	}
+	switch {
+	case opt.Mode == ModeToken && opt.MinShared < 1:
+		return fmt.Errorf("%w: minShared=%d must be >= 1", ErrBadSpec, opt.MinShared)
+	case opt.Mode == ModeSorted && opt.Window < 2:
+		return fmt.Errorf("%w: window=%d must be >= 2", ErrBadSpec, opt.Window)
+	case opt.Mode == ModeLSH && opt.Rows < 1:
+		return fmt.Errorf("%w: rows=%d must be >= 1", ErrBadSpec, opt.Rows)
+	case opt.Mode == ModeLSH && opt.Bands < 1:
+		return fmt.Errorf("%w: bands=%d must be >= 1", ErrBadSpec, opt.Bands)
+	case opt.Mode == ModeLSH && opt.Rows*opt.Bands > maxLSHHashes:
+		return fmt.Errorf("%w: rows*bands=%d exceeds the %d-minhash cap", ErrBadSpec, opt.Rows*opt.Bands, maxLSHHashes)
+	}
+	return nil
 }
 
 // chunkRanges splits [0, n) into at most chunks contiguous ranges of
@@ -202,51 +225,22 @@ func (s *Scorer) blockTokens(attribute string) (tokA, tokB [][]int32, err error)
 //     the full (id-sorted) lists are linear-merged to verify the overlap
 //     of the survivors.
 func generateToken(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
-	if opt.MinShared < 1 {
-		return nil, fmt.Errorf("%w: minShared=%d must be >= 1", ErrBadSpec, opt.MinShared)
-	}
 	tokA, tokB, err := s.blockTokens(opt.Attribute)
 	if err != nil {
 		return nil, err
 	}
 	k := opt.MinShared
-
-	// Document frequency over both tables, on distinct tokens per record.
-	df := make([]int32, s.dict.Len())
-	for _, toks := range tokA {
-		for _, t := range toks {
-			df[t]++
-		}
-	}
-	for _, toks := range tokB {
-		for _, t := range toks {
-			df[t]++
-		}
-	}
-	rarerFirst := func(a, b int32) bool {
-		if df[a] != df[b] {
-			return df[a] < df[b]
-		}
-		return a < b
-	}
-	prefix := func(toks []int32) []int32 {
-		if len(toks) < k { // size filter
-			return nil
-		}
-		p := append([]int32(nil), toks...)
-		sort.Slice(p, func(x, y int) bool { return rarerFirst(p[x], p[y]) })
-		return p[:len(p)-k+1]
-	}
+	df := docFreq(s.dict.Len(), tokA, tokB)
 	prefA := make([][]int32, len(tokA))
 	for i, toks := range tokA {
-		prefA[i] = prefix(toks)
+		prefA[i] = tokenPrefix(df, toks, k)
 	}
 
 	// Inverted index over table B prefixes: postings are built in record
 	// order, so each list is ascending.
 	post := make([][]int32, s.dict.Len())
 	for j, toks := range tokB {
-		for _, t := range prefix(toks) {
+		for _, t := range tokenPrefix(df, toks, k) {
 			post[t] = append(post[t], int32(j))
 		}
 	}
@@ -271,7 +265,7 @@ func generateToken(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) 
 					}
 				}
 			}
-			sort.Slice(touched, func(x, y int) bool { return touched[x] < touched[y] })
+			slices.Sort(touched)
 			for _, j := range touched {
 				seen[j] = false
 				if similarity.IntersectCount(tokA[i], tokB[j]) < k {
@@ -286,10 +280,44 @@ func generateToken(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) 
 	})
 }
 
-func generateSorted(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
-	if opt.Window < 2 {
-		return nil, fmt.Errorf("%w: window=%d must be >= 2", ErrBadSpec, opt.Window)
+// docFreq counts, for each of the n token ids, the records of both tables
+// whose distinct token lists contain it: the document frequency that
+// orders ModeToken's prefix filter.
+func docFreq(n int, tokA, tokB [][]int32) []int32 {
+	df := make([]int32, n)
+	for _, toks := range tokA {
+		for _, t := range toks {
+			df[t]++
+		}
 	}
+	for _, toks := range tokB {
+		for _, t := range toks {
+			df[t]++
+		}
+	}
+	return df
+}
+
+// tokenPrefix is ModeToken's size and prefix filter: nil for a record with
+// fewer than k tokens, otherwise the first len-k+1 of its tokens ordered by
+// ascending df, ties by id. Under any one fixed order, two records sharing
+// at least k tokens have intersecting prefixes.
+func tokenPrefix(df []int32, toks []int32, k int) []int32 {
+	if len(toks) < k {
+		return nil
+	}
+	p := append([]int32(nil), toks...)
+	sort.Slice(p, func(x, y int) bool {
+		a, b := p[x], p[y]
+		if df[a] != df[b] {
+			return df[a] < df[b]
+		}
+		return a < b
+	})
+	return p[:len(p)-k+1]
+}
+
+func generateSorted(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 	colA, err := s.ta.AttributeIndex(opt.Attribute)
 	if err != nil {
 		return nil, err
@@ -341,7 +369,16 @@ func generateSorted(ctx context.Context, s *Scorer, opt Options) ([]Pair, error)
 			cands = append(cands, uint64(a.idx)<<32|uint64(b.idx))
 		}
 	}
-	cands = sortCompact(cands)
+	return scorePacked(ctx, s, opt, cands)
+}
+
+// scorePacked sorts packed (A<<32)|B candidates, drops duplicates, and
+// scores them in contiguous ranges, keeping those at or above the
+// threshold. The packed order is exactly (A, B), and fanOut's order-stable
+// merge keeps the output identical at any worker count.
+func scorePacked(ctx context.Context, s *Scorer, opt Options, cands []uint64) ([]Pair, error) {
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
 	return fanOut(ctx, s, opt.Workers, len(cands), func(sc *Scratch, lo, hi int) ([]Pair, error) {
 		var out []Pair
 		for c := lo; c < hi; c++ {
@@ -357,18 +394,4 @@ func generateSorted(ctx context.Context, s *Scorer, opt Options) ([]Pair, error)
 		}
 		return out, nil
 	})
-}
-
-// sortCompact sorts a packed-pair slice ascending and removes duplicates in
-// place.
-func sortCompact(cands []uint64) []uint64 {
-	slices.Sort(cands)
-	w := 0
-	for i, c := range cands {
-		if i == 0 || c != cands[w-1] {
-			cands[w] = c
-			w++
-		}
-	}
-	return cands[:w]
 }

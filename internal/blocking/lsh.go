@@ -2,7 +2,6 @@ package blocking
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"humo/internal/parallel"
@@ -194,15 +193,6 @@ func lshJoin(dst []uint64, ea, eb []uint64, tokA, tokB [][]int32, floor int) []u
 
 func generateLSH(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 	rows, bands := opt.Rows, opt.Bands
-	if rows < 1 {
-		return nil, fmt.Errorf("%w: rows=%d must be >= 1", ErrBadSpec, rows)
-	}
-	if bands < 1 {
-		return nil, fmt.Errorf("%w: bands=%d must be >= 1", ErrBadSpec, bands)
-	}
-	if rows*bands > maxLSHHashes {
-		return nil, fmt.Errorf("%w: rows*bands=%d exceeds the %d-minhash cap", ErrBadSpec, rows*bands, maxLSHHashes)
-	}
 	tokA, tokB, err := s.blockTokens(opt.Attribute)
 	if err != nil {
 		return nil, err
@@ -227,13 +217,7 @@ func generateLSH(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 		return n
 	}
 	capA, capB := sketched(tokA), sketched(tokB)
-	// Colliding pairs share their bottom-rows tokens by construction; the
-	// floor makes that structural guarantee exact (it also holds across
-	// 32-bit key accidents) and layers the caller's MinShared on top.
-	floor := opt.MinShared
-	if floor < rows {
-		floor = rows
-	}
+	floor := lshFloor(opt)
 
 	// Per-band bucket join, bands in parallel: sort both tables' packed
 	// (key, record) entries, linear-merge equal-key runs, and intersect the
@@ -254,43 +238,15 @@ func generateLSH(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, p := range perBand {
-		total += len(p)
-	}
-	cands := make([]uint64, 0, total)
-	for _, p := range perBand {
-		cands = append(cands, p...)
-	}
-	// Dedupe across bands: packed sort order is exactly (A, B), so the
-	// scored output comes back sorted like every other mode.
-	cands = sortCompact(cands)
-
-	// Score surviving candidates in contiguous ranges (fanOut's order-stable
-	// merge keeps the output identical at any worker count).
-	return fanOut(ctx, s, opt.Workers, len(cands), func(sc *Scratch, lo, hi int) ([]Pair, error) {
-		var out []Pair
-		for c := lo; c < hi; c++ {
-			if (c-lo)%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			i, j := int(cands[c]>>32), int(cands[c]&0xffffffff)
-			if sim := s.ScoreWith(sc, i, j); sim >= opt.Threshold {
-				out = append(out, Pair{A: i, B: j, Sim: sim})
-			}
-		}
-		return out, nil
-	})
+	// Dedupe across bands and score; the packed sort order is exactly
+	// (A, B), so the output comes back sorted like every other mode.
+	return scorePacked(ctx, s, opt, slices.Concat(perBand...))
 }
 
-// LSHBlocked generates candidates via banded MinHash signatures on the
-// named attribute: pairs colliding in at least one band are verified
-// (shared-token check, then the similarity threshold). Equivalent to
-// Generate with ModeLSH.
-func LSHBlocked(s *Scorer, attribute string, rows, bands int, threshold float64) ([]Pair, error) {
-	return Generate(context.Background(), s, Options{
-		Mode: ModeLSH, Attribute: attribute, Rows: rows, Bands: bands, Threshold: threshold,
-	})
+// lshFloor is the shared-token count a colliding pair must reach to be
+// scored. Colliding pairs share their bottom-rows tokens by construction;
+// the floor makes that structural guarantee exact (it also holds across
+// 32-bit key accidents) and layers the caller's MinShared on top.
+func lshFloor(opt Options) int {
+	return max(opt.MinShared, opt.Rows)
 }

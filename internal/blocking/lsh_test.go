@@ -41,7 +41,7 @@ func TestLSHValidation(t *testing.T) {
 			t.Errorf("rows=%d bands=%d: err = %v, want ErrBadSpec", bad.Rows, bad.Bands, err)
 		}
 	}
-	if _, err := LSHBlocked(s, "missing", 2, 8, 0); !errors.Is(err, records.ErrBadTable) {
+	if _, err := Generate(context.Background(), s, Options{Mode: ModeLSH, Attribute: "missing", Rows: 2, Bands: 8, Threshold: 0}); !errors.Is(err, records.ErrBadTable) {
 		t.Errorf("missing attribute: err = %v, want ErrBadTable", err)
 	}
 	if _, err := ParseMode("lsh"); err != nil {
@@ -57,7 +57,7 @@ func TestLSHSubsetOfCross(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross := CrossProduct(s, 0.3)
+	cross := mustGenerate(t, s, Options{Threshold: 0.3})
 	inCross := make(map[[2]int]float64, len(cross))
 	for _, p := range cross {
 		inCross[[2]int{p.A, p.B}] = p.Sim
@@ -94,7 +94,7 @@ func TestLSHHighBandRecall(t *testing.T) {
 		found[[2]int{p.A, p.B}] = true
 	}
 	missed := 0
-	for _, p := range CrossProduct(s, 0.5) {
+	for _, p := range mustGenerate(t, s, Options{Threshold: 0.5}) {
 		if !found[[2]int{p.A, p.B}] {
 			missed++
 		}
@@ -134,7 +134,7 @@ func TestLSHEmptyAndEdgeTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LSHBlocked(s, "name", 2, 8, 0.1); err != nil {
+		if _, err := Generate(context.Background(), s, Options{Mode: ModeLSH, Attribute: "name", Rows: 2, Bands: 8, Threshold: 0.1}); err != nil {
 			t.Fatalf("edge table: %v", err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestLSHEmptyAndEdgeTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LSHBlocked(s, "name", 1, 64, 0)
+	got, err := Generate(context.Background(), s, Options{Mode: ModeLSH, Attribute: "name", Rows: 1, Bands: 64, Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

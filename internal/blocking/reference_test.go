@@ -309,7 +309,7 @@ func TestEquivalenceCross(t *testing.T) {
 	ref := newRefScorer(t, ta, tb, specs)
 	for _, threshold := range []float64{0, 0.3, 0.6} {
 		requirePairsEqual(t, fmt.Sprintf("cross@%v", threshold),
-			CrossProduct(s, threshold), refCrossProduct(ref, threshold))
+			mustGenerate(t, s, Options{Threshold: threshold}), refCrossProduct(ref, threshold))
 	}
 }
 
@@ -326,7 +326,7 @@ func TestEquivalenceTokenBlocked(t *testing.T) {
 	for _, minShared := range []int{1, 2, 3} {
 		for _, threshold := range []float64{0, 0.25} {
 			label := fmt.Sprintf("token k=%d t=%v", minShared, threshold)
-			got, err := TokenBlocked(s, "name", minShared, threshold)
+			got, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "name", MinShared: minShared, Threshold: threshold})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +334,7 @@ func TestEquivalenceTokenBlocked(t *testing.T) {
 		}
 	}
 	// Blocking on an attribute with no Jaccard spec interns fresh tokens.
-	got, err := TokenBlocked(s, "brand", 1, 0.4)
+	got, err := Generate(context.Background(), s, Options{Mode: ModeToken, Attribute: "brand", MinShared: 1, Threshold: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestEquivalenceSortedNeighborhood(t *testing.T) {
 	}
 	ref := newRefScorer(t, ta, tb, specs)
 	for _, window := range []int{2, 5, 16} {
-		got, err := SortedNeighborhood(s, "name", window, 0.2)
+		got, err := Generate(context.Background(), s, Options{Mode: ModeSorted, Attribute: "name", Window: window, Threshold: 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -247,7 +248,10 @@ func ABLike(cfg ABConfig) (*ERDataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands := blocking.CrossProduct(scorer, cfg.Threshold)
+	cands, err := blocking.Generate(context.Background(), scorer, blocking.Options{Mode: blocking.ModeCross, Threshold: cfg.Threshold})
+	if err != nil {
+		return nil, err
+	}
 	return &ERDataset{
 		Name:       "AB",
 		A:          abt,

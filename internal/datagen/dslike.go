@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -245,7 +246,9 @@ func DSLike(cfg DSConfig) (*ERDataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands, err := blocking.TokenBlocked(scorer, "title", cfg.MinShared, cfg.Threshold)
+	cands, err := blocking.Generate(context.Background(), scorer, blocking.Options{
+		Mode: blocking.ModeToken, Attribute: "title", MinShared: cfg.MinShared, Threshold: cfg.Threshold,
+	})
 	if err != nil {
 		return nil, err
 	}

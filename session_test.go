@@ -302,8 +302,15 @@ func TestSessionNextContext(t *testing.T) {
 	if err := s.Answer(ans); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Next(canceled); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next with canceled ctx: %v, want context.Canceled", err)
+	// By now the search may or may not have produced its next batch. Next
+	// serves a batch that is already there and otherwise returns ctx's
+	// error; TestNextCanceledBeforeBatch pins the second arm on its own.
+	if b, err := s.Next(canceled); err != nil {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Next with canceled ctx: %v, want context.Canceled or a ready batch", err)
+		}
+	} else if b.Empty() {
+		t.Fatal("Next with canceled ctx: empty batch and no error, want context.Canceled or a ready batch")
 	}
 	driveFromTruth(t, s, truth)
 	if err := s.Err(); err != nil {
