@@ -189,3 +189,42 @@ func BenchmarkGenerateWorkloadCross(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGenerateWorkloadDS is the pipeline_lsh recipe at a quarter of
+// the DS-like scale: Jaccard on title and authors, Jaro–Winkler on venue
+// with distinct-value weights, LSH 2×32 on the title, threshold 0.2. Unlike
+// the Jaccard-only BenchmarkGenerateWorkload it runs a string kernel on
+// every verified candidate, so it is the gated view of the scorer's
+// per-value-pair memo (the venue column has a few dozen distinct values).
+func BenchmarkGenerateWorkloadDS(b *testing.B) {
+	cfg := humo.DefaultDSConfig()
+	cfg.Entities /= 4
+	cfg.Filler /= 4
+	ds, err := humo.DSLike(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := humo.GenConfig{
+		Specs: []humo.AttributeSpec{
+			{Attribute: "title", Kind: humo.KindJaccard},
+			{Attribute: "authors", Kind: humo.KindJaccard},
+			{Attribute: "venue", Kind: humo.KindJaroWinkler},
+		},
+		Block:          humo.BlockLSH,
+		BlockAttribute: "title",
+		Threshold:      0.2,
+		Rows:           2,
+		Bands:          32,
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := humo.GenerateWorkload(context.Background(), ds.A, ds.B, gen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(g.Candidates) == 0 {
+			b.Fatal("no candidates")
+		}
+	}
+}

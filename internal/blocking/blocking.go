@@ -7,9 +7,14 @@
 // The subsystem is built for throughput: NewScorer interns every token into
 // a shared dictionary and preprocesses each record once — sorted token-id
 // sets for linear-merge Jaccard, term-frequency vectors with precomputed
-// norms for Cosine, rune slices for the edit-distance measures — so scoring
-// a pair allocates nothing and never re-tokenizes. A Scorer is read-only
-// after construction, so any number of Generate calls may share one
+// norms for Cosine — and interns the values of the string-kernel columns
+// (Jaro–Winkler, Levenshtein): each distinct value is decoded to runes
+// once, and where a column's distinct values are few enough, the kernel's
+// result per (value in A, value in B) is memoized on first use, so it runs
+// once per distinct value pair rather than once per candidate. Scoring a
+// pair allocates nothing and never re-tokenizes. Apart from memo fills
+// (atomic, and identical whoever makes them) a Scorer is read-only after
+// construction, so any number of Generate calls may share one
 // concurrently; the one sanctioned mutation is the streaming path —
 // Incremental.Sync extends a scorer over appended records, and must be
 // serialized with every other use of that scorer. Generate fans candidate
@@ -34,8 +39,10 @@ package blocking
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"humo/internal/records"
 	"humo/internal/similarity"
@@ -102,18 +109,77 @@ type Pair struct {
 }
 
 // colRep holds the preprocessed representation of one table column under
-// one spec: exactly one of the fields is populated, per the spec's kind.
+// one spec, per the spec's kind: tokens for KindJaccard, tf for KindCosine,
+// and the interned values (runes, ids, index) for the string kernels.
 type colRep struct {
 	tokens [][]int32          // KindJaccard: sorted distinct token ids per record
 	tf     []similarity.TFVec // KindCosine: term-frequency vector per record
-	runes  [][]rune           // KindJaroWinkler, KindLevenshtein: decoded runes
+
+	// KindJaroWinkler, KindLevenshtein: runes[v] is distinct value v
+	// decoded once, ids[i] the value id of record i, index the value → id
+	// map that interns appended records.
+	runes [][]rune
+	ids   []int32
+	index map[string]int32
+}
+
+// memoCap bounds a string-kernel memo: a column gets one only while
+// (distinct values in A)·(distinct values in B) is at most memoCap, i.e.
+// at most 8 MiB of cells. Above it (titles and other near-unique text) the
+// kernel runs directly on the interned runes.
+const memoCap = 1 << 20
+
+// memoFits reports whether a memo over nA×nB distinct values is within
+// memoCap.
+func memoFits(nA, nB int) bool { return int64(nA)*int64(nB) <= memoCap }
+
+// memoFilled marks a filled memo cell. It is the float64 sign bit:
+// similarities are never negative, so a filled cell is never zero and
+// zeroed memory reads as empty.
+const memoFilled = 1 << 63
+
+// simMemo caches one string-kernel column's similarity per (value id in A,
+// value id in B), row-major over nB columns. Cells are filled lazily with
+// atomic stores of the kernel's bits (| memoFilled); racing fillers
+// compute and store identical bits, so concurrent readers see either an
+// empty cell, and compute, or the exact kernel result.
+type simMemo struct {
+	nB    int
+	cells []atomic.Uint64
+}
+
+// grownMemo returns a memo over nA×nB distinct values that keeps the
+// filled cells of old (nil the first time): old itself when its shape is
+// unchanged, nil when nA·nB exceeds memoCap. Value ids only ever grow, so
+// every filled cell keeps its meaning. Not safe for concurrent use with
+// readers of old; extend is serialized with scoring.
+func grownMemo(old *simMemo, nA, nB int) *simMemo {
+	if !memoFits(nA, nB) {
+		return nil
+	}
+	if old != nil && old.nB == nB && len(old.cells) == nA*nB {
+		return old
+	}
+	m := &simMemo{nB: nB, cells: make([]atomic.Uint64, nA*nB)}
+	if old != nil && old.nB > 0 {
+		for x := 0; x < len(old.cells)/old.nB; x++ {
+			for y := 0; y < old.nB; y++ {
+				m.cells[x*nB+y].Store(old.cells[x*old.nB+y].Load())
+			}
+		}
+	}
+	return m
 }
 
 // Scorer computes aggregated similarities between records of two fixed
 // tables. Every record is preprocessed once at construction — tokens
-// interned into a shared dictionary, rune decoding done, norms precomputed
-// — so the per-pair hot path is allocation-free (give each goroutine its
-// own Scratch) and scoring millions of candidates stays cheap.
+// interned into a shared dictionary, string-kernel values interned and
+// decoded once per distinct value, norms precomputed — so the per-pair hot
+// path is allocation-free (give each goroutine its own Scratch) and
+// scoring millions of candidates stays cheap. A string-kernel column with
+// few distinct values also memoizes its similarity per distinct value
+// pair (see simMemo), so a low-cardinality attribute such as a venue costs
+// one kernel call per value pair, not per candidate.
 type Scorer struct {
 	ta, tb  *records.Table
 	specs   []AttributeSpec
@@ -123,6 +189,7 @@ type Scorer struct {
 	dict    *similarity.Interner
 	repA    []colRep // per spec
 	repB    []colRep
+	memo    []*simMemo // per spec; nil unless a string kernel within memoCap
 	// blockTok holds the sorted distinct token-id lists of every attribute
 	// shared by both tables, keyed by attribute name — the precomputed form
 	// every blocking strategy reads. Building it eagerly means Generate never
@@ -162,6 +229,7 @@ func NewScorer(ta, tb *records.Table, specs []AttributeSpec) (*Scorer, error) {
 		dict:    similarity.NewInterner(),
 		repA:    make([]colRep, len(specs)),
 		repB:    make([]colRep, len(specs)),
+		memo:    make([]*simMemo, len(specs)),
 	}
 	var sum float64
 	for i, spec := range specs {
@@ -185,6 +253,7 @@ func NewScorer(ta, tb *records.Table, specs []AttributeSpec) (*Scorer, error) {
 		s.repA[i] = s.buildRep(ta, s.colA[i], spec.Kind)
 		s.repB[i] = s.buildRep(tb, s.colB[i], spec.Kind)
 	}
+	s.growMemos()
 	s.buildBlockTokens()
 	return s, nil
 }
@@ -253,18 +322,30 @@ func (s *Scorer) tokenColumn(t *records.Table, col int, reps []colRep, covers fu
 // extend brings the scorer's preprocessed representations up to date with
 // records appended to its tables since construction (or since the last
 // extend): new records' columns are interned into the existing dictionary
-// (ids of already-seen tokens are stable, so every old representation keeps
-// meaning exactly what it meant) and the blocking token sets grow by the
-// new records only. Appended records are trusted to be schema-valid —
-// Table.Append enforces that. extend mutates the scorer and is not safe to
-// run concurrently with Generate or scoring calls; Incremental serializes
-// it behind Sync.
+// and value tables (ids of already-seen tokens and values are stable, so
+// every old representation and filled memo cell keeps meaning exactly what
+// it meant), the memos grow when an append brings new distinct values, and
+// the blocking token sets grow by the new records only. Appended records
+// are trusted to be schema-valid — Table.Append enforces that. extend
+// mutates the scorer and is not safe to run concurrently with Generate or
+// scoring calls; Incremental serializes it behind Sync.
 func (s *Scorer) extend() {
 	for k, spec := range s.specs {
 		s.extendRep(s.ta, s.colA[k], spec.Kind, &s.repA[k])
 		s.extendRep(s.tb, s.colB[k], spec.Kind, &s.repB[k])
 	}
+	s.growMemos()
 	s.buildBlockTokens()
+}
+
+// growMemos sizes each string-kernel column's memo to its current distinct
+// value counts, keeping the filled cells.
+func (s *Scorer) growMemos() {
+	for k, spec := range s.specs {
+		if spec.Kind == KindJaroWinkler || spec.Kind == KindLevenshtein {
+			s.memo[k] = grownMemo(s.memo[k], len(s.repA[k].runes), len(s.repB[k].runes))
+		}
+	}
 }
 
 // extendRep appends the preprocessed representation of records past the
@@ -280,31 +361,35 @@ func (s *Scorer) extendRep(t *records.Table, col int, kind Kind, rep *colRep) {
 			rep.tf = append(rep.tf, s.dict.InternTermFreq(t.Records[i].Values[col]))
 		}
 	case KindJaroWinkler, KindLevenshtein:
-		for i := len(rep.runes); i < len(t.Records); i++ {
-			rep.runes = append(rep.runes, []rune(t.Records[i].Values[col]))
+		if rep.index == nil {
+			rep.index = make(map[string]int32)
+		}
+		for i := len(rep.ids); i < len(t.Records); i++ {
+			v := t.Records[i].Values[col]
+			id, ok := rep.index[v]
+			if !ok {
+				id = int32(len(rep.runes))
+				rep.index[v] = id
+				rep.runes = append(rep.runes, []rune(v))
+			}
+			rep.ids = append(rep.ids, id)
 		}
 	}
 }
 
+// buildRep preprocesses every record of one column: extendRep from an
+// empty representation sized for the table.
 func (s *Scorer) buildRep(t *records.Table, col int, kind Kind) colRep {
 	var rep colRep
 	switch kind {
 	case KindJaccard:
-		rep.tokens = make([][]int32, len(t.Records))
-		for i, r := range t.Records {
-			rep.tokens[i] = s.dict.InternTokens(r.Values[col])
-		}
+		rep.tokens = make([][]int32, 0, len(t.Records))
 	case KindCosine:
-		rep.tf = make([]similarity.TFVec, len(t.Records))
-		for i, r := range t.Records {
-			rep.tf[i] = s.dict.InternTermFreq(r.Values[col])
-		}
+		rep.tf = make([]similarity.TFVec, 0, len(t.Records))
 	case KindJaroWinkler, KindLevenshtein:
-		rep.runes = make([][]rune, len(t.Records))
-		for i, r := range t.Records {
-			rep.runes[i] = []rune(r.Values[col])
-		}
+		rep.ids = make([]int32, 0, len(t.Records))
 	}
+	s.extendRep(t, col, kind, &rep)
 	return rep
 }
 
@@ -366,17 +451,36 @@ func (s *Scorer) attrSim(sc *Scratch, k, i, j int) float64 {
 	switch s.specs[k].Kind {
 	case KindJaccard:
 		return similarity.JaccardIDs(s.repA[k].tokens[i], s.repB[k].tokens[j])
-	case KindJaroWinkler:
-		return similarity.JaroWinklerRunes(s.repA[k].runes[i], s.repB[k].runes[j], &sc.jaro)
-	case KindLevenshtein:
-		sim, prev, cur := similarity.LevenshteinSimRunes(s.repA[k].runes[i], s.repB[k].runes[j], sc.prev, sc.cur)
-		sc.prev, sc.cur = prev, cur
+	case KindJaroWinkler, KindLevenshtein:
+		a, b := s.repA[k].ids[i], s.repB[k].ids[j]
+		m := s.memo[k]
+		if m == nil {
+			return s.valueSim(sc, k, a, b)
+		}
+		cell := &m.cells[int(a)*m.nB+int(b)]
+		if v := cell.Load(); v != 0 {
+			return math.Float64frombits(v &^ memoFilled)
+		}
+		sim := s.valueSim(sc, k, a, b)
+		cell.Store(math.Float64bits(sim) | memoFilled)
 		return sim
 	case KindCosine:
 		return similarity.CosineTF(s.repA[k].tf[i], s.repB[k].tf[j])
 	default:
 		panic(fmt.Sprintf("blocking: unknown kind %v", s.specs[k].Kind))
 	}
+}
+
+// valueSim runs spec k's string kernel on value a of table A and value b
+// of table B.
+func (s *Scorer) valueSim(sc *Scratch, k int, a, b int32) float64 {
+	ra, rb := s.repA[k].runes[a], s.repB[k].runes[b]
+	if s.specs[k].Kind == KindJaroWinkler {
+		return similarity.JaroWinklerRunes(ra, rb, &sc.jaro)
+	}
+	sim, prev, cur := similarity.LevenshteinSimRunes(ra, rb, sc.prev, sc.cur)
+	sc.prev, sc.cur = prev, cur
+	return sim
 }
 
 // DistinctValueSpecs fills in the Weight of each spec from the number of

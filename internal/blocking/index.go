@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -307,13 +308,7 @@ func tokenPrefix(df []int32, toks []int32, k int) []int32 {
 		return nil
 	}
 	p := append([]int32(nil), toks...)
-	sort.Slice(p, func(x, y int) bool {
-		a, b := p[x], p[y]
-		if df[a] != df[b] {
-			return df[a] < df[b]
-		}
-		return a < b
-	})
+	slices.SortFunc(p, func(a, b int32) int { return cmp.Or(cmp.Compare(df[a], df[b]), cmp.Compare(a, b)) })
 	return p[:len(p)-k+1]
 }
 
