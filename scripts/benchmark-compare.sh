@@ -5,7 +5,9 @@
 # (default origin/main, falling back to main) in a throwaway git worktree
 # and on the working tree, then renders the comparison — with benchstat when
 # installed, otherwise with the same awk comparison the CI regression gate
-# uses (scripts/bench_gate.sh, report-only here).
+# uses (scripts/bench_gate.sh, report-only here) followed by each
+# benchmark's median and min-max ns/op on both sides
+# (scripts/bench_medians.sh).
 #
 #   sh scripts/benchmark-compare.sh                          # all benchmarks vs origin/main
 #   sh scripts/benchmark-compare.sh HEAD~1                   # vs the previous commit
@@ -59,6 +61,9 @@ if command -v benchstat >/dev/null 2>&1; then
     benchstat "$tmp/base.txt" "$tmp/head.txt"
 else
     echo "(benchstat not installed — go install golang.org/x/perf/cmd/benchstat@latest for"
-    echo " confidence intervals; falling back to the CI gate's mean comparison, report-only)"
+    echo " confidence intervals; falling back to the CI gate's mean comparison and each"
+    echo " benchmark's median and min-max, report-only)"
     sh "$repo_root/scripts/bench_gate.sh" "$tmp/base.txt" "$tmp/head.txt" Benchmark 9999 || true
+    echo
+    sh "$repo_root/scripts/bench_medians.sh" "$tmp/base.txt" "$tmp/head.txt"
 fi
