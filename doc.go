@@ -132,8 +132,8 @@
 //
 // and drive a session with Session.Run, which propagates backend failures
 // and ctx cancellation as errors — states the legacy Oracle cannot
-// represent. OracleLabeler and NewOracleFromLabeler adapt between the two
-// contracts in either direction.
+// represent. OracleLabeler adapts a legacy Oracle to the Labeler contract,
+// so Session.Run is the one path from a Labeler into any search.
 //
 // # Crowd-scale labeling
 //
@@ -158,11 +158,7 @@
 // worker error range, packing and vote knobs) and a fixed sequence of label
 // batches, the HITs built, the votes cast, the inferred labels and every
 // CrowdStats counter are bit-identical across runs and across all worker
-// counts (CrowdLabelerConfig.Workers trades wall-clock time only). The same
-// holds for CrowdOracle: its base seed is drawn once at construction and
-// each pair's votes come from a private stream seeded by (base seed, pair
-// id), so a pair's adjudicated answer is identical whether pairs are labeled
-// one by one, in one batch, split across batches, or in any request order.
+// counts (CrowdLabelerConfig.Workers trades wall-clock time only).
 //
 // # The humod server
 //

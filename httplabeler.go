@@ -29,7 +29,9 @@ import (
 //
 // A remote session that terminates (cancel, delete, failure) before
 // answering the requested pairs fails LabelBatch with an error, which
-// Session.Run propagates after canceling the local session.
+// Session.Run propagates after canceling the local session. A poll the
+// server sheds under load (429) is not a failure: LabelBatch waits the
+// server's Retry-After (at most maxShedWait) and polls again.
 type HTTPLabeler struct {
 	// BaseURL locates the humod server, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -50,6 +52,13 @@ type labelsResponse struct {
 	Done    bool            `json:"done"`
 	Error   string          `json:"error"`
 }
+
+// maxShedWait caps how long LabelBatch honors a shed poll's Retry-After;
+// defaultShedWait is the wait when the header is missing or unparseable.
+const (
+	maxShedWait     = 10 * time.Second
+	defaultShedWait = time.Second
+)
 
 // labelsChunkSize bounds how many ids one labels request carries: the ids
 // travel in the query string, and a whole-DH Resolve batch could otherwise
@@ -85,9 +94,19 @@ func (l *HTTPLabeler) labelChunk(ctx context.Context, ids []int, out map[int]boo
 		strings.TrimSuffix(l.BaseURL, "/"), url.PathEscape(l.SessionID),
 		strings.Join(idList, ","), url.QueryEscape(wait.String()))
 	for {
-		resp, err := l.poll(ctx, u)
+		resp, shedWait, err := l.poll(ctx, u)
 		if err != nil {
 			return err
+		}
+		if resp == nil {
+			t := time.NewTimer(shedWait)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return ctx.Err()
+			}
+			continue
 		}
 		if len(resp.Missing) == 0 {
 			for k, v := range resp.Labels {
@@ -111,11 +130,12 @@ func (l *HTTPLabeler) labelChunk(ctx context.Context, ids []int, out map[int]boo
 	}
 }
 
-// poll performs one long-poll request.
-func (l *HTTPLabeler) poll(ctx context.Context, u string) (*labelsResponse, error) {
+// poll performs one long-poll request. A shed poll (429) returns a nil
+// response and the wait before the next poll.
+func (l *HTTPLabeler) poll(ctx context.Context, u string) (*labelsResponse, time.Duration, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	client := l.Client
 	if client == nil {
@@ -123,19 +143,35 @@ func (l *HTTPLabeler) poll(ctx context.Context, u string) (*labelsResponse, erro
 	}
 	res, err := client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("humo: polling humod labels: %w", err)
+		return nil, 0, fmt.Errorf("humo: polling humod labels: %w", err)
 	}
 	defer res.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(res.Body, 64<<20))
 	if err != nil {
-		return nil, fmt.Errorf("humo: reading humod response: %w", err)
+		return nil, 0, fmt.Errorf("humo: reading humod response: %w", err)
+	}
+	if res.StatusCode == http.StatusTooManyRequests {
+		return nil, shedWait(res.Header.Get("Retry-After")), nil
 	}
 	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("humo: humod labels request failed: %s: %s", res.Status, strings.TrimSpace(string(body)))
+		return nil, 0, fmt.Errorf("humo: humod labels request failed: %s: %s", res.Status, strings.TrimSpace(string(body)))
 	}
 	var out labelsResponse
 	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("humo: decoding humod response: %w", err)
+		return nil, 0, fmt.Errorf("humo: decoding humod response: %w", err)
 	}
-	return &out, nil
+	return &out, 0, nil
+}
+
+// shedWait parses a Retry-After header in delay-seconds form, capped at
+// maxShedWait.
+func shedWait(h string) time.Duration {
+	secs, err := strconv.Atoi(strings.TrimSpace(h))
+	switch {
+	case err != nil || secs < 0:
+		return defaultShedWait
+	case secs >= int(maxShedWait/time.Second):
+		return maxShedWait
+	}
+	return time.Duration(secs) * time.Second
 }

@@ -2,8 +2,12 @@ package humo_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,5 +196,63 @@ func TestHTTPLabelerRemoteGone(t *testing.T) {
 	l404 := &humo.HTTPLabeler{BaseURL: srv.URL, SessionID: "never-was", Wait: time.Second}
 	if _, err := l404.LabelBatch(context.Background(), []int{1}); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("LabelBatch against an unknown session: %v, want a 404 error", err)
+	}
+}
+
+// shedServer answers the labels endpoint with 429 + Retry-After for the
+// first shed polls, then labels every requested id true.
+func shedServer(t *testing.T, shed int32, retryAfter string) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	polls := new(atomic.Int32)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if polls.Add(1) <= shed {
+			w.Header().Set("Retry-After", retryAfter)
+			http.Error(w, `{"error":"overloaded","code":429}`, http.StatusTooManyRequests)
+			return
+		}
+		var labels []string
+		for _, id := range strings.Split(r.URL.Query().Get("ids"), ",") {
+			labels = append(labels, fmt.Sprintf("%q:true", id))
+		}
+		fmt.Fprintf(w, `{"labels":{%s},"missing":[],"done":false}`, strings.Join(labels, ","))
+	}))
+	t.Cleanup(srv.Close)
+	return srv, polls
+}
+
+// TestHTTPLabelerRetriesShedPolls: a poll the server sheds for backpressure
+// (429 + Retry-After) is retried, not treated as a failed batch.
+func TestHTTPLabelerRetriesShedPolls(t *testing.T) {
+	srv, polls := shedServer(t, 3, "0")
+	l := &humo.HTTPLabeler{BaseURL: srv.URL, SessionID: "busy", Wait: time.Second}
+	got, err := l.LabelBatch(context.Background(), []int{4, 9})
+	if err != nil {
+		t.Fatalf("LabelBatch through shed polls: %v", err)
+	}
+	if !got[4] || !got[9] || len(got) != 2 {
+		t.Fatalf("labels = %v, want 4 and 9 true", got)
+	}
+	if n := polls.Load(); n != 4 {
+		t.Fatalf("%d polls, want 3 shed + 1 answered", n)
+	}
+}
+
+// TestHTTPLabelerShedWaitHonorsCtx: a ctx that ends while LabelBatch waits
+// out a Retry-After returns the ctx error without another poll.
+func TestHTTPLabelerShedWaitHonorsCtx(t *testing.T) {
+	srv, polls := shedServer(t, 1, "5")
+	l := &humo.HTTPLabeler{BaseURL: srv.URL, SessionID: "busy", Wait: time.Second}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := l.LabelBatch(ctx, []int{1})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("LabelBatch = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 4*time.Second {
+		t.Fatalf("LabelBatch returned after %v: the Retry-After wait ignored ctx", elapsed)
+	}
+	if n := polls.Load(); n != 1 {
+		t.Fatalf("%d polls, want 1", n)
 	}
 }

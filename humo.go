@@ -204,16 +204,9 @@ func FitFellegi(features [][]float64, cfg FellegiConfig) (*FellegiModel, error) 
 
 // Oracles.
 
-type (
-	// SimulatedOracle is a perfect human over fixed ground truth, with
-	// human-cost accounting.
-	SimulatedOracle = oracle.Simulated
-	// NoisyOracle flips each answer with a configured probability,
-	// memoized per pair.
-	NoisyOracle = oracle.Noisy
-	// CrowdOracle majority-votes an odd number of noisy workers per pair.
-	CrowdOracle = oracle.Crowd
-)
+// SimulatedOracle is a perfect human over fixed ground truth, with
+// human-cost accounting.
+type SimulatedOracle = oracle.Simulated
 
 // NewSimulatedOracle builds a perfect simulated human over the ground truth
 // map (pair id -> is-match).
@@ -226,8 +219,8 @@ func NewSimulatedOracle(truth map[int]bool) *SimulatedOracle {
 // tracks the same ledger for interactive resolutions (Session.Cost).
 
 // CostReporter is implemented by oracles that account human cost: the
-// number of distinct pairs manually inspected so far. SimulatedOracle,
-// NoisyOracle, CrowdOracle and OracleFromLabeler all implement it.
+// number of distinct pairs manually inspected so far. SimulatedOracle
+// implements it.
 type CostReporter interface {
 	Cost() int
 }

@@ -35,14 +35,9 @@ type Config struct {
 	Sessions int
 	// Pairs sizes each session's generated workload (default 800).
 	Pairs int
-	// Method is the resolution method (default "hybrid").
-	Method string
 	// Seed derives each session's workload and search seed (session i uses
 	// Seed+i), so a run is reproducible end to end.
 	Seed int64
-	// StatusEvery interleaves one status poll every N answer rounds
-	// (default 2; 0 disables status polling).
-	StatusEvery int
 	// AppendEvery switches the run to the streaming-ingest scenario: each
 	// session resolves a server-built workload (POST /v1/workloads) and
 	// every N answer rounds a record batch is appended to it (POST
@@ -52,8 +47,6 @@ type Config struct {
 	// AppendRows is the records appended per table per append (default 4;
 	// only with AppendEvery > 0).
 	AppendRows int
-	// HTTPClient overrides http.DefaultClient.
-	HTTPClient *http.Client
 }
 
 func (cfg *Config) setDefaults() error {
@@ -70,22 +63,11 @@ func (cfg *Config) setDefaults() error {
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = 800
 	}
-	if cfg.Method == "" {
-		cfg.Method = "hybrid"
-	}
-	if cfg.StatusEvery < 0 {
-		cfg.StatusEvery = 0
-	} else if cfg.StatusEvery == 0 {
-		cfg.StatusEvery = 2
-	}
 	if cfg.AppendEvery < 0 {
 		cfg.AppendEvery = 0
 	}
 	if cfg.AppendRows <= 0 {
 		cfg.AppendRows = 4
-	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = http.DefaultClient
 	}
 	return nil
 }
@@ -217,30 +199,34 @@ func (r Report) P99() time.Duration {
 	return worst
 }
 
-// driveSession runs one session start to finish.
+// statusEvery interleaves one status poll every this many answer rounds.
+const statusEvery = 2
+
+// scenario is what one driven session resolves: the create spec, the
+// stand-in human that answers each surfaced pair, and an optional hook run
+// after every answered round (the streaming scenario appends records there).
+type scenario struct {
+	spec   serve.Spec
+	answer func(pairID int) bool
+	round  func(ctx context.Context, rounds int) error
+}
+
+// driveSession runs one session start to finish: create, then next → answer
+// (→ round hook, → status every statusEvery rounds) until the session is
+// done, then delete. 429-shed polls are retried and counted.
 func (r *runner) driveSession(ctx context.Context, i int) error {
+	var sc scenario
+	var err error
 	if r.cfg.AppendEvery > 0 {
-		return r.driveStreamSession(ctx, i)
+		sc, err = r.streamScenario(ctx, i)
+	} else {
+		sc, err = r.staticScenario(i)
 	}
-	labeled, err := humo.Logistic(humo.LogisticConfig{N: r.cfg.Pairs, Tau: 14, Sigma: 0.1, Seed: r.cfg.Seed + int64(i)})
 	if err != nil {
-		return fmt.Errorf("loadgen: session %d workload: %w", i, err)
-	}
-	pairs, truth := humo.Split(labeled)
-	sp := make([]serve.SpecPair, len(pairs))
-	for j, p := range pairs {
-		sp[j] = serve.SpecPair{ID: p.ID, Sim: p.Sim}
+		return err
 	}
 	id := fmt.Sprintf("load-%d-%d", r.cfg.Seed, i)
-	create := serve.CreateRequest{ID: id, Spec: serve.Spec{
-		Method: r.cfg.Method, Seed: r.cfg.Seed + int64(i),
-		Alpha: 0.9, Beta: 0.9, Theta: 0.9,
-		SubsetSize: 100,
-		Pairs:      sp,
-	}}
-	if r.cfg.Method == "budgeted" {
-		create.Spec.BudgetPairs = r.cfg.Pairs / 4
-	}
+	create := serve.CreateRequest{ID: id, Spec: sc.spec}
 	if code, _, err := r.do(ctx, OpCreate, "POST", "/v1/sessions", create); err != nil {
 		return err
 	} else if code != http.StatusCreated {
@@ -286,7 +272,7 @@ func (r *runner) driveSession(ctx context.Context, i int) error {
 		}
 		labels := make(map[string]bool, len(next.IDs))
 		for _, pid := range next.IDs {
-			labels[strconv.Itoa(pid)] = truth[pid]
+			labels[strconv.Itoa(pid)] = sc.answer(pid)
 		}
 		if code, _, err := r.do(ctx, OpAnswer, "POST", "/v1/sessions/"+id+"/answers", map[string]any{"labels": labels}); err != nil {
 			return err
@@ -294,7 +280,12 @@ func (r *runner) driveSession(ctx context.Context, i int) error {
 			return fmt.Errorf("loadgen: session %d answer: status %d", i, code)
 		}
 		rounds++
-		if r.cfg.StatusEvery > 0 && rounds%r.cfg.StatusEvery == 0 {
+		if sc.round != nil {
+			if err := sc.round(ctx, rounds); err != nil {
+				return err
+			}
+		}
+		if rounds%statusEvery == 0 {
 			if code, _, err := r.do(ctx, OpStatus, "GET", "/v1/sessions/"+id, nil); err != nil {
 				return err
 			} else if code != http.StatusOK {
@@ -308,6 +299,29 @@ func (r *runner) driveSession(ctx context.Context, i int) error {
 		return fmt.Errorf("loadgen: session %d delete: status %d", i, code)
 	}
 	return nil
+}
+
+// staticScenario resolves a generated logistic workload sent inline with
+// the create request, answered from its ground truth.
+func (r *runner) staticScenario(i int) (scenario, error) {
+	labeled, err := humo.Logistic(humo.LogisticConfig{N: r.cfg.Pairs, Tau: 14, Sigma: 0.1, Seed: r.cfg.Seed + int64(i)})
+	if err != nil {
+		return scenario{}, fmt.Errorf("loadgen: session %d workload: %w", i, err)
+	}
+	pairs, truth := humo.Split(labeled)
+	sp := make([]serve.SpecPair, len(pairs))
+	for j, p := range pairs {
+		sp[j] = serve.SpecPair{ID: p.ID, Sim: p.Sim}
+	}
+	return scenario{
+		spec: serve.Spec{
+			Method: "hybrid", Seed: r.cfg.Seed + int64(i),
+			Alpha: 0.9, Beta: 0.9, Theta: 0.9,
+			SubsetSize: 100,
+			Pairs:      sp,
+		},
+		answer: func(pid int) bool { return truth[pid] },
+	}, nil
 }
 
 // do performs one timed request. Transport errors count against the op and
@@ -330,7 +344,7 @@ func (r *runner) do(ctx context.Context, op, method, path string, body any) (int
 		req.Header.Set("Content-Type", "application/json")
 	}
 	t0 := time.Now()
-	res, err := r.cfg.HTTPClient.Do(req)
+	res, err := http.DefaultClient.Do(req)
 	d := time.Since(t0)
 	r.lat[op].Observe(d)
 	if err != nil {
@@ -372,11 +386,11 @@ func streamRow(salt int64, i int) []string {
 // without a bound a session could chase its own tail.
 const maxAppendsPerSession = 3
 
-// driveStreamSession runs one streaming-ingest session: build a live
-// workload server-side, resolve it over the HTTP API, and append records
-// every AppendEvery answer rounds so the session absorbs candidate deltas
+// streamScenario is the streaming-ingest session: build a live workload
+// server-side, resolve it over the HTTP API, and append records every
+// AppendEvery answer rounds so the session absorbs candidate deltas
 // mid-resolution.
-func (r *runner) driveStreamSession(ctx context.Context, i int) error {
+func (r *runner) streamScenario(ctx context.Context, i int) (scenario, error) {
 	salt := r.cfg.Seed + int64(i)
 	name := fmt.Sprintf("load-%d-%d-w", r.cfg.Seed, i)
 	// Rows per base table: token blocking emits roughly O(rows^2 / vocab)
@@ -400,102 +414,38 @@ func (r *runner) driveStreamSession(ctx context.Context, i int) error {
 	}
 	code, _, err := r.do(ctx, OpWorkload, "POST", "/v1/workloads", wreq)
 	if err != nil {
-		return err
+		return scenario{}, err
 	}
 	if code != http.StatusCreated {
-		return fmt.Errorf("loadgen: session %d workload build: status %d", i, code)
+		return scenario{}, fmt.Errorf("loadgen: session %d workload build: status %d", i, code)
 	}
-	id := fmt.Sprintf("load-%d-%d", r.cfg.Seed, i)
-	create := serve.CreateRequest{ID: id, Spec: serve.Spec{
-		Method: r.cfg.Method, Seed: salt,
-		Alpha: 0.85, Beta: 0.85, Theta: 0.85,
-		SubsetSize:   40,
-		WorkloadFile: name + ".csv",
-	}}
-	if r.cfg.Method == "budgeted" {
-		create.Spec.BudgetPairs = r.cfg.Pairs / 4
-	}
-	if code, _, err := r.do(ctx, OpCreate, "POST", "/v1/sessions", create); err != nil {
-		return err
-	} else if code != http.StatusCreated {
-		return fmt.Errorf("loadgen: session %d create: status %d", i, code)
-	}
-	rounds, appends, appended := 0, 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var next struct {
-			IDs   []int  `json:"ids"`
-			Done  bool   `json:"done"`
-			Error string `json:"error"`
-		}
-		code, body, err := r.do(ctx, OpNext, "GET", "/v1/sessions/"+id+"/next?wait=30s", nil)
-		if err != nil {
-			return err
-		}
-		switch code {
-		case http.StatusNoContent:
-			continue
-		case http.StatusTooManyRequests:
-			r.retried.Inc()
-			select {
-			case <-time.After(20 * time.Millisecond):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			continue
-		case http.StatusOK:
-		default:
-			return fmt.Errorf("loadgen: session %d next: status %d", i, code)
-		}
-		if err := json.Unmarshal(body, &next); err != nil {
-			return fmt.Errorf("loadgen: session %d next body: %w", i, err)
-		}
-		if next.Done {
-			if next.Error != "" {
-				return fmt.Errorf("loadgen: session %d failed server-side: %s", i, next.Error)
-			}
-			break
-		}
+	appends := 0
+	return scenario{
+		spec: serve.Spec{
+			Method: "hybrid", Seed: salt,
+			Alpha: 0.85, Beta: 0.85, Theta: 0.85,
+			SubsetSize:   40,
+			WorkloadFile: name + ".csv",
+		},
 		// Server-built candidates have no ground truth on the client; any
 		// pure function of the pair id is a deterministic stand-in oracle.
-		labels := make(map[string]bool, len(next.IDs))
-		for _, pid := range next.IDs {
-			labels[strconv.Itoa(pid)] = pid%3 == 0
-		}
-		if code, _, err := r.do(ctx, OpAnswer, "POST", "/v1/sessions/"+id+"/answers", map[string]any{"labels": labels}); err != nil {
-			return err
-		} else if code != http.StatusOK {
-			return fmt.Errorf("loadgen: session %d answer: status %d", i, code)
-		}
-		rounds++
-		if appends < maxAppendsPerSession && rounds%r.cfg.AppendEvery == 0 {
-			areq := serve.AppendRequest{}
-			for j := 0; j < r.cfg.AppendRows; j++ {
-				areq.RowsA = append(areq.RowsA, streamRow(salt+7, appended+j))
-				areq.RowsB = append(areq.RowsB, streamRow(salt+11, appended+j))
+		answer: func(pid int) bool { return pid%3 == 0 },
+		round: func(ctx context.Context, rounds int) error {
+			if appends >= maxAppendsPerSession || rounds%r.cfg.AppendEvery != 0 {
+				return nil
 			}
-			appended += r.cfg.AppendRows
+			areq := serve.AppendRequest{}
+			for j := appends * r.cfg.AppendRows; j < (appends+1)*r.cfg.AppendRows; j++ {
+				areq.RowsA = append(areq.RowsA, streamRow(salt+7, j))
+				areq.RowsB = append(areq.RowsB, streamRow(salt+11, j))
+			}
 			appends++
 			if code, _, err := r.do(ctx, OpAppend, "POST", "/v1/workloads/"+name+"/records", areq); err != nil {
 				return err
 			} else if code != http.StatusOK {
 				return fmt.Errorf("loadgen: session %d append: status %d", i, code)
 			}
-		}
-		if r.cfg.StatusEvery > 0 && rounds%r.cfg.StatusEvery == 0 {
-			if code, _, err := r.do(ctx, OpStatus, "GET", "/v1/sessions/"+id, nil); err != nil {
-				return err
-			} else if code != http.StatusOK {
-				return fmt.Errorf("loadgen: session %d status: status %d", i, code)
-			}
-		}
-	}
-	if code, _, err := r.do(ctx, OpDelete, "DELETE", "/v1/sessions/"+id, nil); err != nil {
-		return err
-	} else if code != http.StatusNoContent {
-		return fmt.Errorf("loadgen: session %d delete: status %d", i, code)
-	}
-	return nil
+			return nil
+		},
+	}, nil
 }

@@ -34,43 +34,6 @@ func TestNoisyBatchSequentialParity(t *testing.T) {
 	}
 }
 
-// TestCrowdBatchAccounting checks the per-batch crowd model: votes are
-// per-pair, batches are per-submission, and re-asking adjudicated pairs
-// costs neither.
-func TestCrowdBatchAccounting(t *testing.T) {
-	truth := map[int]bool{1: true, 2: false, 3: true, 4: false, 5: true}
-	o, err := NewCrowd(truth, 3, 0.1, rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.LabelAll([]int{1, 2, 3})
-	if got := o.Batches(); got != 1 {
-		t.Fatalf("one submission, Batches() = %d", got)
-	}
-	if got := o.Votes(); got != 9 {
-		t.Fatalf("3 pairs x 3 workers, Votes() = %d", got)
-	}
-	// A batch of already-adjudicated pairs is answered from memory: no new
-	// batch, no new votes.
-	o.LabelAll([]int{1, 3})
-	if got := o.Batches(); got != 1 {
-		t.Fatalf("memoized resubmission counted: Batches() = %d", got)
-	}
-	// A mixed batch with one fresh pair is one more submission.
-	o.LabelAll([]int{2, 4})
-	if got, wantV := o.Batches(), o.Votes(); got != 2 || wantV != 12 {
-		t.Fatalf("mixed batch: Batches() = %d (want 2), Votes() = %d (want 12)", got, wantV)
-	}
-	// A fresh single-pair Label is its own batch.
-	o.Label(5)
-	if got := o.Batches(); got != 3 {
-		t.Fatalf("fresh Label: Batches() = %d (want 3)", got)
-	}
-	if got := o.Cost(); got != 5 {
-		t.Fatalf("Cost() = %d, want 5 distinct pairs", got)
-	}
-}
-
 // TestSimulatedBatchParity checks LabelAll answers and costs match Label.
 func TestSimulatedBatchParity(t *testing.T) {
 	truth := map[int]bool{1: true, 2: false, 3: true}

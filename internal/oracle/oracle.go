@@ -20,13 +20,23 @@ import (
 // ErrUnknownPair reports a label request for a pair id outside the truth set.
 var ErrUnknownPair = errors.New("oracle: unknown pair id")
 
-// Simulated is a perfect human labeler over a fixed ground truth.
-// It is safe for concurrent use.
+// Simulated is the simulated human: a memoizing labeler over a fixed ground
+// truth. It answers perfectly unless built by NewNoisy with a positive error
+// rate. It is safe for concurrent use.
 type Simulated struct {
-	mu      sync.Mutex
-	truth   map[int]bool
-	labeled map[int]bool // memoized answers (also the cost ledger)
+	mu        sync.Mutex
+	truth     map[int]bool
+	labeled   map[int]bool // memoized answers (also the cost ledger)
+	errorRate float64
+	rng       *rand.Rand
 }
+
+// Noisy is a Simulated oracle with symmetric label noise: each pair's human
+// answer is flipped with the configured probability, decided once per pair
+// and then memoized (a human does not flip-flop on the same pair). It
+// supports the §IV discussion of human errors in DH and the corresponding
+// ablation experiment.
+type Noisy = Simulated
 
 // NewSimulated builds an oracle over ground truth: truth[id] reports whether
 // pair id is a matching pair.
@@ -38,9 +48,23 @@ func NewSimulated(truth map[int]bool) *Simulated {
 	return &Simulated{truth: copied, labeled: make(map[int]bool)}
 }
 
-// Label reveals the ground-truth label of the pair, recording it as one unit
-// of human cost on first inspection. Unknown ids panic: they indicate a
-// wiring bug between workload and oracle, not a user error.
+// NewNoisy builds a noisy oracle. errorRate must be in [0, 1); rng must be
+// non-nil when errorRate > 0.
+func NewNoisy(truth map[int]bool, errorRate float64, rng *rand.Rand) (*Noisy, error) {
+	if errorRate < 0 || errorRate >= 1 {
+		return nil, fmt.Errorf("oracle: error rate %v must be in [0,1)", errorRate)
+	}
+	if errorRate > 0 && rng == nil {
+		return nil, errors.New("oracle: rng required for errorRate > 0")
+	}
+	o := NewSimulated(truth)
+	o.errorRate, o.rng = errorRate, rng
+	return o, nil
+}
+
+// Label reveals the pair's label (flipped by the noise, if any), recording
+// it as one unit of human cost on first inspection. Unknown ids panic: they
+// indicate a wiring bug between workload and oracle, not a user error.
 func (o *Simulated) Label(id int) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -48,7 +72,8 @@ func (o *Simulated) Label(id int) bool {
 }
 
 // LabelAll reveals the batch's labels in id order under one lock
-// acquisition. It is bit-identical to calling Label per id.
+// acquisition. Fresh pairs consume the error stream in id order, so a
+// batched run is bit-identical to calling Label per id.
 func (o *Simulated) LabelAll(ids []int) []bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -66,6 +91,9 @@ func (o *Simulated) labelLocked(id int) bool {
 	v, ok := o.truth[id]
 	if !ok {
 		panic(fmt.Sprintf("%v: %d", ErrUnknownPair, id))
+	}
+	if o.errorRate > 0 && o.rng.Float64() < o.errorRate {
+		v = !v
 	}
 	o.labeled[id] = v
 	return v
@@ -87,251 +115,9 @@ func (o *Simulated) Reset() {
 	o.labeled = make(map[int]bool)
 }
 
-// Truth returns the ground-truth label without charging human cost. It is
-// for evaluation code only (computing achieved precision/recall).
+// Truth returns the error-free ground-truth label without charging human
+// cost. It is for evaluation code only (computing achieved precision/recall).
 func (o *Simulated) Truth(id int) (bool, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	v, ok := o.truth[id]
-	if !ok {
-		return false, fmt.Errorf("%w: %d", ErrUnknownPair, id)
-	}
-	return v, nil
-}
-
-// Noisy wraps a ground truth with symmetric label noise: each pair's human
-// answer is flipped with the configured probability, decided once per pair
-// and then memoized (a human does not flip-flop on the same pair). It
-// supports the §IV discussion of human errors in DH and the corresponding
-// ablation experiment.
-type Noisy struct {
-	mu        sync.Mutex
-	truth     map[int]bool
-	answers   map[int]bool
-	errorRate float64
-	rng       *rand.Rand
-}
-
-// NewNoisy builds a noisy oracle. errorRate must be in [0, 1); rng must be
-// non-nil when errorRate > 0.
-func NewNoisy(truth map[int]bool, errorRate float64, rng *rand.Rand) (*Noisy, error) {
-	if errorRate < 0 || errorRate >= 1 {
-		return nil, fmt.Errorf("oracle: error rate %v must be in [0,1)", errorRate)
-	}
-	if errorRate > 0 && rng == nil {
-		return nil, errors.New("oracle: rng required for errorRate > 0")
-	}
-	copied := make(map[int]bool, len(truth))
-	for id, v := range truth {
-		copied[id] = v
-	}
-	return &Noisy{truth: copied, answers: make(map[int]bool), errorRate: errorRate, rng: rng}, nil
-}
-
-// Label returns the (possibly erroneous) human answer for the pair.
-func (o *Noisy) Label(id int) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.labelLocked(id)
-}
-
-// LabelAll answers the batch in id order under one lock acquisition. Fresh
-// pairs consume the error stream in id order, so a batched run is
-// bit-identical to a pair-by-pair run.
-func (o *Noisy) LabelAll(ids []int) []bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		out[i] = o.labelLocked(id)
-	}
-	return out
-}
-
-func (o *Noisy) labelLocked(id int) bool {
-	if v, ok := o.answers[id]; ok {
-		return v
-	}
-	v, ok := o.truth[id]
-	if !ok {
-		panic(fmt.Sprintf("%v: %d", ErrUnknownPair, id))
-	}
-	if o.errorRate > 0 && o.rng.Float64() < o.errorRate {
-		v = !v
-	}
-	o.answers[id] = v
-	return v
-}
-
-// Cost returns the number of distinct pairs inspected.
-func (o *Noisy) Cost() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.answers)
-}
-
-// Truth returns the error-free ground truth for evaluation.
-func (o *Noisy) Truth(id int) (bool, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	v, ok := o.truth[id]
-	if !ok {
-		return false, fmt.Errorf("%w: %d", ErrUnknownPair, id)
-	}
-	return v, nil
-}
-
-// Crowd simulates majority voting over an odd number of noisy workers, the
-// way HUMO's human workload would be processed on a crowdsourcing platform
-// (§IX future work). Each worker answers independently with the per-worker
-// error rate; cost counts worker answers, not pairs.
-//
-// Determinism contract: a base seed is drawn once from the constructor rng,
-// and each pair's votes come from a private stream seeded by (base seed,
-// pair id) alone. For the same construction, a pair therefore receives
-// identical votes whether it is labeled one by one, in one batch, split
-// across batches, or in any request order.
-type Crowd struct {
-	mu         sync.Mutex
-	truth      map[int]bool
-	answers    map[int]bool
-	workers    int
-	errorRate  float64
-	baseSeed   int64
-	totalVotes int
-	batches    int
-}
-
-// NewCrowd builds a crowdsourced oracle with the given odd worker count per
-// pair and per-worker error rate in [0, 0.5). The rng is consumed exactly
-// once, for the base seed of the per-pair vote streams.
-func NewCrowd(truth map[int]bool, workers int, errorRate float64, rng *rand.Rand) (*Crowd, error) {
-	if workers < 1 || workers%2 == 0 {
-		return nil, fmt.Errorf("oracle: workers %d must be odd and >= 1", workers)
-	}
-	if errorRate < 0 || errorRate >= 0.5 {
-		return nil, fmt.Errorf("oracle: per-worker error rate %v must be in [0,0.5)", errorRate)
-	}
-	if errorRate > 0 && rng == nil {
-		return nil, errors.New("oracle: rng required for errorRate > 0")
-	}
-	copied := make(map[int]bool, len(truth))
-	for id, v := range truth {
-		copied[id] = v
-	}
-	o := &Crowd{truth: copied, answers: make(map[int]bool), workers: workers, errorRate: errorRate}
-	if rng != nil {
-		o.baseSeed = rng.Int63()
-	}
-	return o, nil
-}
-
-// pairSeed disperses (baseSeed, id) into the seed of the pair's private vote
-// stream (splitmix64-style finalizer).
-func pairSeed(baseSeed int64, id int) int64 {
-	z := uint64(baseSeed)*0x9e3779b97f4a7c15 ^ uint64(int64(id))*0xbf58476d1ce4e5b9
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
-}
-
-// Label returns the majority vote over the workers for the pair. A fresh
-// pair counts as its own one-pair crowdsourcing batch; see LabelAll for
-// batched submission.
-func (o *Crowd) Label(id int) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if _, known := o.answers[id]; !known {
-		o.batches++
-	}
-	return o.labelLocked(id)
-}
-
-// LabelAll adjudicates the batch in id order. All fresh pairs of the call
-// are submitted to the crowd as one batch (the HIT-group model of
-// crowdsourced ER: workers vote on a page of pairs, not one pair at a time),
-// so Batches counts one unit per call instead of one per pair, while Votes
-// still counts every per-pair worker answer. A call with no fresh pair —
-// empty, or entirely memoized — submits nothing and is free. Votes come from
-// per-pair seeded streams, bit-identical to pair-by-pair submission in any
-// order or split.
-func (o *Crowd) LabelAll(ids []int) []bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	fresh := false
-	for _, id := range ids {
-		if _, known := o.answers[id]; !known {
-			fresh = true
-			break
-		}
-	}
-	if fresh {
-		o.batches++
-	}
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		out[i] = o.labelLocked(id)
-	}
-	return out
-}
-
-func (o *Crowd) labelLocked(id int) bool {
-	if v, ok := o.answers[id]; ok {
-		return v
-	}
-	v, ok := o.truth[id]
-	if !ok {
-		panic(fmt.Sprintf("%v: %d", ErrUnknownPair, id))
-	}
-	agree := o.workers
-	if o.errorRate > 0 {
-		agree = 0
-		rng := rand.New(rand.NewSource(pairSeed(o.baseSeed, id)))
-		for i := 0; i < o.workers; i++ {
-			if rng.Float64() >= o.errorRate {
-				agree++
-			}
-		}
-	}
-	o.totalVotes += o.workers
-	ans := v
-	if agree <= o.workers/2 {
-		ans = !v // the majority got it wrong
-	}
-	o.answers[id] = ans
-	return ans
-}
-
-// Cost returns the number of distinct pairs adjudicated.
-func (o *Crowd) Cost() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.answers)
-}
-
-// Votes returns the total number of worker answers collected, the monetary
-// cost proxy on a crowdsourcing platform.
-func (o *Crowd) Votes() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.totalVotes
-}
-
-// Batches returns the number of crowdsourcing batches submitted so far: one
-// per LabelAll call that adjudicated at least one fresh pair, one per fresh
-// single-pair Label call. It proxies the per-HIT platform overhead that
-// batching amortizes.
-func (o *Crowd) Batches() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.batches
-}
-
-// Truth returns the error-free ground truth for evaluation.
-func (o *Crowd) Truth(id int) (bool, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	v, ok := o.truth[id]

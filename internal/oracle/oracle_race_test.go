@@ -67,24 +67,3 @@ func TestNoisyConcurrentLabel(t *testing.T) {
 		t.Errorf("Cost = %d, want %d", o.Cost(), n)
 	}
 }
-
-func TestCrowdConcurrentLabel(t *testing.T) {
-	const n = 200
-	o, err := NewCrowd(raceTruth(n), 3, 0.1, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = parallel.ForEach(8, 4*n, func(i int) error {
-		o.Label(i % n)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Cost() != n {
-		t.Errorf("Cost = %d, want %d", o.Cost(), n)
-	}
-	if o.Votes() != 3*n {
-		t.Errorf("Votes = %d, want %d (3 workers per distinct pair)", o.Votes(), 3*n)
-	}
-}

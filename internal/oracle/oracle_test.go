@@ -140,59 +140,3 @@ func TestNoisyErrorRateApproximate(t *testing.T) {
 		t.Error("Truth must return the error-free label")
 	}
 }
-
-func TestCrowdValidation(t *testing.T) {
-	if _, err := NewCrowd(nil, 2, 0.1, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("even worker count should fail")
-	}
-	if _, err := NewCrowd(nil, 0, 0.1, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("zero workers should fail")
-	}
-	if _, err := NewCrowd(nil, 3, 0.6, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("error rate >= 0.5 should fail")
-	}
-	if _, err := NewCrowd(nil, 3, 0.1, nil); err == nil {
-		t.Error("missing rng should fail")
-	}
-}
-
-func TestCrowdMajorityBeatsSingleWorker(t *testing.T) {
-	truth := sampleTruth(20000, 4)
-	crowd, err := NewCrowd(truth, 5, 0.2, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := 0
-	for i := 0; i < 20000; i++ {
-		if crowd.Label(i) != truth[i] {
-			wrong++
-		}
-	}
-	rate := float64(wrong) / 20000
-	// 5 workers at 20% error: majority error = sum_{k>=3} C(5,k) .2^k .8^(5-k) ~ 5.8%.
-	if rate > 0.09 {
-		t.Errorf("crowd error rate %.3f, want well below single-worker 0.20", rate)
-	}
-	if crowd.Votes() != 5*20000 {
-		t.Errorf("votes = %d, want %d", crowd.Votes(), 5*20000)
-	}
-	if crowd.Cost() != 20000 {
-		t.Errorf("cost = %d, want 20000", crowd.Cost())
-	}
-	if v, err := crowd.Truth(0); err != nil || v != truth[0] {
-		t.Error("Truth must return the error-free label")
-	}
-}
-
-func TestCrowdPerfectWorkers(t *testing.T) {
-	truth := sampleTruth(100, 6)
-	crowd, err := NewCrowd(truth, 3, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if crowd.Label(i) != truth[i] {
-			t.Fatal("perfect crowd must match truth")
-		}
-	}
-}

@@ -2,8 +2,6 @@ package humo
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"humo/internal/core"
 	"humo/internal/crowd"
@@ -68,70 +66,6 @@ func (a oracleLabeler) LabelBatch(ctx context.Context, ids []int) (map[int]bool,
 	return out, nil
 }
 
-// OracleFromLabeler adapts an error-aware Labeler to the legacy Oracle
-// contract, so the one-shot searches can run against a batch backend. The
-// legacy contract cannot express failure, so the first error latches: from
-// then on unanswered pairs are answered false without asking the backend,
-// and the caller must check Err after the search — a nil Err guarantees
-// every answer came from the Labeler. New code should prefer Session, which
-// propagates the same errors without the latch.
-type OracleFromLabeler struct {
-	ctx context.Context
-	l   Labeler
-
-	mu    sync.Mutex
-	known map[int]bool
-	err   error
-}
-
-// NewOracleFromLabeler builds the adapter. ctx is passed through to every
-// LabelBatch call, so canceling it fails the adapter (and with it the
-// search) at the next label request.
-func NewOracleFromLabeler(ctx context.Context, l Labeler) *OracleFromLabeler {
-	return &OracleFromLabeler{ctx: ctx, l: l, known: make(map[int]bool)}
-}
-
-// Label answers one pair (a batch of one).
-func (o *OracleFromLabeler) Label(id int) bool { return o.LabelAll([]int{id})[0] }
-
-// LabelAll answers the batch, asking the Labeler only about deduplicated
-// ids it has not answered before.
-func (o *OracleFromLabeler) LabelAll(ids []int) []bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var unknown []int
-	seen := make(map[int]struct{}, len(ids))
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		if _, ok := o.known[id]; !ok {
-			unknown = append(unknown, id)
-		}
-	}
-	if len(unknown) > 0 && o.err == nil {
-		ans, err := o.l.LabelBatch(o.ctx, unknown)
-		if err != nil {
-			o.err = err
-		} else {
-			for _, id := range unknown {
-				v, ok := ans[id]
-				if !ok {
-					o.err = fmt.Errorf("humo: labeler omitted pair %d from its batch answer", id)
-					break
-				}
-				o.known[id] = v
-			}
-		}
-	}
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		out[i] = o.known[id] // false for pairs lost to a latched error
-	}
-	return out
-}
-
 // Crowd-scale labeling. CrowdLabeler is the package's crowd-workforce
 // Labeler: batches are packed into cluster-based HITs of bounded record
 // count, answered by a simulated pool of noisy workers under per-worker
@@ -165,19 +99,4 @@ type (
 // comparisons against the same pool and seed.
 func NewCrowdLabeler(refs []CrowdRef, truth map[int]bool, cfg CrowdLabelerConfig) (*CrowdLabeler, error) {
 	return crowd.NewLabeler(refs, truth, cfg)
-}
-
-// Err returns the first Labeler failure, or nil when every answer so far
-// genuinely came from the backend.
-func (o *OracleFromLabeler) Err() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.err
-}
-
-// Cost returns the number of distinct pairs answered by the backend.
-func (o *OracleFromLabeler) Cost() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.known)
 }

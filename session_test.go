@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"humo"
@@ -520,58 +519,6 @@ func TestSessionRunWithLabeler(t *testing.T) {
 	}
 	if !failing.Done() || !errors.Is(failing.Err(), humo.ErrSessionCanceled) {
 		t.Errorf("failing Run left session done=%v err=%v", failing.Done(), failing.Err())
-	}
-}
-
-// TestOracleFromLabeler covers the reverse adapter: batching, memoization,
-// error latching and ctx propagation.
-func TestOracleFromLabeler(t *testing.T) {
-	calls := 0
-	l := humo.LabelerFunc(func(ctx context.Context, ids []int) (map[int]bool, error) {
-		calls++
-		out := make(map[int]bool, len(ids))
-		for _, id := range ids {
-			out[id] = id%2 == 0
-		}
-		return out, nil
-	})
-	o := humo.NewOracleFromLabeler(context.Background(), l)
-	got := o.LabelAll([]int{1, 2, 3, 2})
-	want := []bool{false, true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("answer %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("one batch should cost one backend call, got %d", calls)
-	}
-	if o.Label(2) != true || calls != 1 {
-		t.Fatalf("memoized pair hit the backend again (calls=%d)", calls)
-	}
-	if o.Cost() != 3 {
-		t.Fatalf("Cost() = %d, want 3", o.Cost())
-	}
-	if err := o.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	bad := humo.NewOracleFromLabeler(ctx, humo.OracleLabeler(humo.NewSimulatedOracle(map[int]bool{1: true})))
-	if bad.Label(1) {
-		t.Error("canceled adapter should answer false")
-	}
-	if !errors.Is(bad.Err(), context.Canceled) {
-		t.Errorf("Err() = %v, want context.Canceled", bad.Err())
-	}
-
-	omit := humo.NewOracleFromLabeler(context.Background(), humo.LabelerFunc(func(ctx context.Context, ids []int) (map[int]bool, error) {
-		return map[int]bool{}, nil
-	}))
-	omit.Label(7)
-	if err := omit.Err(); err == nil || !strings.Contains(err.Error(), "omitted") {
-		t.Errorf("omitted answer not detected: %v", err)
 	}
 }
 
