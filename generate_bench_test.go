@@ -190,21 +190,19 @@ func BenchmarkGenerateWorkloadCross(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateWorkloadDS is the pipeline_lsh recipe at a quarter of
-// the DS-like scale: Jaccard on title and authors, Jaro–Winkler on venue
-// with distinct-value weights, LSH 2×32 on the title, threshold 0.2. Unlike
-// the Jaccard-only BenchmarkGenerateWorkload it runs a string kernel on
-// every verified candidate, so it is the gated view of the scorer's
-// per-value-pair memo (the venue column has a few dozen distinct values).
-func BenchmarkGenerateWorkloadDS(b *testing.B) {
+// dsQuarterRecipe is the pipeline_lsh recipe at a quarter of the DS-like
+// scale: Jaccard on title and authors, Jaro–Winkler on venue with
+// distinct-value weights, LSH 2×32 on the title, threshold 0.2.
+func dsQuarterRecipe(tb testing.TB) (*humo.Table, *humo.Table, humo.GenConfig) {
+	tb.Helper()
 	cfg := humo.DefaultDSConfig()
 	cfg.Entities /= 4
 	cfg.Filler /= 4
 	ds, err := humo.DSLike(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	gen := humo.GenConfig{
+	return ds.A, ds.B, humo.GenConfig{
 		Specs: []humo.AttributeSpec{
 			{Attribute: "title", Kind: humo.KindJaccard},
 			{Attribute: "authors", Kind: humo.KindJaccard},
@@ -216,10 +214,19 @@ func BenchmarkGenerateWorkloadDS(b *testing.B) {
 		Rows:           2,
 		Bands:          32,
 	}
+}
+
+// BenchmarkGenerateWorkloadDS generates dsQuarterRecipe's workload. Unlike
+// the Jaccard-only BenchmarkGenerateWorkload it runs a string kernel on
+// every verified candidate, so it is the gated view of the scorer's
+// per-value-pair memo (the venue column has a few dozen distinct values).
+// TestGenerateWorkloadDSQuarterPinned pins its output.
+func BenchmarkGenerateWorkloadDS(b *testing.B) {
+	ta, tb, gen := dsQuarterRecipe(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, err := humo.GenerateWorkload(context.Background(), ds.A, ds.B, gen)
+		g, err := humo.GenerateWorkload(context.Background(), ta, tb, gen)
 		if err != nil {
 			b.Fatal(err)
 		}

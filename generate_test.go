@@ -472,3 +472,19 @@ func TestIncrementalWorkloadEpochs(t *testing.T) {
 		})
 	}
 }
+
+// TestGenerateWorkloadDSQuarterPinned pins the candidate set of
+// BenchmarkGenerateWorkloadDS's recipe (LSH 2×32 on DS-like titles): the
+// count and the workload fingerprint, so a faster blocking path has to
+// produce the same candidates with the same similarity bits.
+func TestGenerateWorkloadDSQuarterPinned(t *testing.T) {
+	ta, tb, gen := dsQuarterRecipe(t)
+	g, err := humo.GenerateWorkload(context.Background(), ta, tb, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantN, wantFP = 3606, "4beabd4a02a4f502"
+	if len(g.Candidates) != wantN || g.Fingerprint != wantFP {
+		t.Fatalf("%d candidates, fingerprint %s; want %d, %s", len(g.Candidates), g.Fingerprint, wantN, wantFP)
+	}
+}

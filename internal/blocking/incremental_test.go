@@ -128,6 +128,55 @@ func TestIncrementalEquivalence(t *testing.T) {
 	}
 }
 
+// TestSyncRetryAfterCancel pins Sync's retry contract: a Sync under a
+// canceled context returns context.Canceled and leaves the retained state
+// at the previous epoch, so a retry returns exactly the pairs an
+// uninterrupted Sync over the same growth returns.
+func TestSyncRetryAfterCancel(t *testing.T) {
+	fullA, fullB := synthTables(90, 110, 35)
+	for name, opt := range map[string]Options{
+		"token": {Mode: ModeToken, Attribute: "name", MinShared: 2, Threshold: 0.3},
+		"lsh":   {Mode: ModeLSH, Attribute: "name", Rows: 2, Bands: 16, MinShared: 2, Threshold: 0.3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// grow builds an Incremental over a prefix and appends the
+			// rest of both tables, leaving the growth unsynced.
+			grow := func() *Incremental {
+				ta, tb := tablePrefix(fullA, 50), tablePrefix(fullB, 60)
+				s, err := NewScorer(ta, tb, incSpecs())
+				if err != nil {
+					t.Fatal(err)
+				}
+				inc, _, err := NewIncremental(context.Background(), s, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendBatch(t, ta, fullA, 50, 90)
+				appendBatch(t, tb, fullB, 60, 110)
+				return inc
+			}
+			want, err := grow().Sync(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("fixture growth yields no delta pairs")
+			}
+			inc := grow()
+			canceled, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := inc.Sync(canceled); !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled Sync returned %v, want context.Canceled", err)
+			}
+			got, err := inc.Sync(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			requirePairsEqual(t, name+" retry", got, want)
+		})
+	}
+}
+
 // TestIncrementalGrowthWithNoNewCandidates: table growth whose records are
 // too dissimilar to pair with anything still syncs cleanly (empty delta,
 // state advanced — a later real append must not re-emit or miss pairs).

@@ -361,6 +361,120 @@ func TestEquivalenceSortedNeighborhood(t *testing.T) {
 	}
 }
 
+// refLSHKeys recomputes one record's band keys from scratch: per band, every
+// token's content hash mixed with the band seed, a full sort, the Rows
+// smallest folded into the top 32 bits of a splitmix64 chain. ok is false
+// for a record with fewer than rows tokens, which has no sketch.
+func refLSHKeys(dict *similarity.Interner, toks map[string]struct{}, rows, bands int) (keys []uint32, ok bool) {
+	if len(toks) < rows {
+		return nil, false
+	}
+	keys = make([]uint32, bands)
+	for b := range keys {
+		seed := splitmix64(lshSeedBase + uint64(b))
+		var hs []uint64
+		for tok := range toks {
+			id, found := dict.Lookup(tok)
+			if !found {
+				panic("token " + tok + " not interned")
+			}
+			hs = append(hs, splitmix64(dict.TokenHash(id)^seed))
+		}
+		sort.Slice(hs, func(x, y int) bool { return hs[x] < hs[y] })
+		key := splitmix64(uint64(b))
+		for _, v := range hs[:rows] {
+			key = splitmix64(key ^ v)
+		}
+		keys[b] = uint32(key >> 32)
+	}
+	return keys, true
+}
+
+// refLSH is the per-pair LSH oracle: a pair is a candidate exactly when
+// both records have a sketch, their keys agree in at least one band, they
+// share at least max(MinShared, Rows) tokens, and the reference score
+// reaches the threshold. No buckets, no joins, no dedupe.
+func refLSH(t testing.TB, s *refScorer, dict *similarity.Interner, attribute string, rows, bands, minShared int, threshold float64) []Pair {
+	t.Helper()
+	colA, err := s.ta.AttributeIndex(attribute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colB, err := s.tb.AttributeIndex(attribute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketch := func(tab *records.Table, col int) ([]map[string]struct{}, [][]uint32) {
+		toks := make([]map[string]struct{}, len(tab.Records))
+		keys := make([][]uint32, len(tab.Records))
+		for i, r := range tab.Records {
+			toks[i] = similarity.TokenSet(r.Values[col])
+			keys[i], _ = refLSHKeys(dict, toks[i], rows, bands)
+		}
+		return toks, keys
+	}
+	toksA, keysA := sketch(s.ta, colA)
+	toksB, keysB := sketch(s.tb, colB)
+	floor := max(minShared, rows)
+	out := []Pair{}
+	for i := range toksA {
+		for j := range toksB {
+			if keysA[i] == nil || keysB[j] == nil {
+				continue
+			}
+			collide := false
+			for b := range keysA[i] {
+				collide = collide || keysA[i][b] == keysB[j][b]
+			}
+			if !collide {
+				continue
+			}
+			shared := 0
+			for tok := range toksA[i] {
+				if _, ok := toksB[j][tok]; ok {
+					shared++
+				}
+			}
+			if shared < floor {
+				continue
+			}
+			if sim := s.score(i, j); sim >= threshold {
+				out = append(out, Pair{A: i, B: j, Sim: sim})
+			}
+		}
+	}
+	return out
+}
+
+// TestEquivalenceLSH holds ModeLSH bit-identical to the per-pair oracle
+// over a Rows/Bands/MinShared grid, MinShared both below and above Rows.
+func TestEquivalenceLSH(t *testing.T) {
+	ta, tb := synthTables(150, 200, 6)
+	specs := synthSpecs()
+	s, err := NewScorer(ta, tb, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefScorer(t, ta, tb, specs)
+	for _, rows := range []int{1, 2, 3} {
+		for _, bands := range []int{1, 5, 16} {
+			for _, minShared := range []int{1, 2, 4} {
+				for _, threshold := range []float64{0, 0.25} {
+					label := fmt.Sprintf("lsh r=%d b=%d k=%d t=%v", rows, bands, minShared, threshold)
+					got, err := Generate(context.Background(), s, Options{
+						Mode: ModeLSH, Attribute: "name", Rows: rows, Bands: bands,
+						MinShared: minShared, Threshold: threshold,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requirePairsEqual(t, label, got, refLSH(t, ref, s.Dict(), "name", rows, bands, minShared, threshold))
+				}
+			}
+		}
+	}
+}
+
 // TestGenerateWorkerInvariance pins the determinism guarantee: every mode
 // returns identical output at any worker count.
 func TestGenerateWorkerInvariance(t *testing.T) {
@@ -404,8 +518,14 @@ func TestGenerateCancellation(t *testing.T) {
 	if _, err := Generate(ctx, s, Options{Mode: ModeCross}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled generate returned %v, want context.Canceled", err)
 	}
-	if _, err := Generate(ctx, s, Options{Mode: ModeToken, Attribute: "name", MinShared: 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled token generate returned %v, want context.Canceled", err)
+	for _, opt := range []Options{
+		{Mode: ModeToken, Attribute: "name", MinShared: 1},
+		{Mode: ModeSorted, Attribute: "name", Window: 4},
+		{Mode: ModeLSH, Attribute: "name", Rows: 2, Bands: 8},
+	} {
+		if _, err := Generate(ctx, s, opt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled %s generate returned %v, want context.Canceled", opt.Mode, err)
+		}
 	}
 }
 
