@@ -81,18 +81,32 @@ const tailFoldRatio = 8
 // step from empty retained state, so the returned state is ready for
 // future Sync calls. Only ModeToken and ModeLSH support delta maintenance.
 func NewIncremental(ctx context.Context, s *Scorer, opt Options) (*Incremental, []Pair, error) {
+	inc, err := newIncremental(s, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	pairs, err := inc.step(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return inc, pairs, nil
+}
+
+// newIncremental validates opt and returns the empty retained state that
+// NewIncremental's first step fills.
+func newIncremental(s *Scorer, opt Options) (*Incremental, error) {
 	if opt.Mode != ModeToken && opt.Mode != ModeLSH {
-		return nil, nil, fmt.Errorf("%w: incremental maintenance needs mode token or lsh, not %q", ErrBadSpec, opt.Mode)
+		return nil, fmt.Errorf("%w: incremental maintenance needs mode token or lsh, not %q", ErrBadSpec, opt.Mode)
 	}
 	if err := opt.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	inc := &Incremental{s: s, opt: opt}
 	switch opt.Mode {
 	case ModeToken:
 		tokA, tokB, err := s.blockTokens(opt.Attribute)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		inc.df = docFreq(s.dict.Len(), tokA, tokB)
 	case ModeLSH:
@@ -103,11 +117,7 @@ func NewIncremental(ctx context.Context, s *Scorer, opt Options) (*Incremental, 
 		inc.tailA = make([][]uint64, opt.Bands)
 		inc.tailB = make([][]uint64, opt.Bands)
 	}
-	pairs, err := inc.step(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return inc, pairs, nil
+	return inc, nil
 }
 
 // Sync absorbs records appended to the scorer's tables since construction
@@ -265,14 +275,31 @@ func (inc *Incremental) probe(ctx context.Context, pref [][]int32, base int, own
 	})
 }
 
-// deltaLSH sketches only the records past lenA/lenB and joins them against
-// the retained band tables: per band, new-A×old-B, new-A×new-B and
-// old-A×new-B — every colliding pair that involves a new record, each
-// verified against the shared-token floor inline. The old sides are probed
-// by binary search per new key (base and tail separately), so a Sync reads
-// only the buckets the new records hash into. The retained tables are only
-// swapped for their grown successors by the returned commit.
+// deltaLSH scores deltaLSHCandidates' pairs; see there.
 func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pairs []Pair, commit func(), err error) {
+	cands, commit, err := inc.deltaLSHCandidates(ctx, tokA, tokB)
+	if err != nil {
+		return nil, nil, err
+	}
+	if pairs, err = scorePacked(ctx, inc.s, inc.opt, cands); err != nil {
+		return nil, nil, err
+	}
+	return pairs, commit, nil
+}
+
+// deltaLSHCandidates sketches only the records past lenA/lenB and joins
+// them against the retained band tables: per band, new-A×old-B,
+// new-A×new-B and old-A×new-B — every colliding pair that involves a new
+// record, each verified against the shared-token floor inline, as packed
+// (A<<32)|B keys. The new×new join has both key matrices at hand, so it
+// emits each pair in its lowest colliding band only (all of an epoch 0);
+// the old sides' keys are not retained, so a new×old pair comes once per
+// band it collides in and scorePacked's compact dedupes it. The old sides
+// are probed by binary search per new key (base and tail separately), so a
+// Sync reads only the buckets the new records hash into. The retained
+// tables are only swapped for their grown successors by the returned
+// commit.
+func (inc *Incremental) deltaLSHCandidates(ctx context.Context, tokA, tokB [][]int32) (cands []uint64, commit func(), err error) {
 	rows, bands := inc.opt.Rows, inc.opt.Bands
 	oldA, oldB := inc.lenA, inc.lenB
 	hashes := inc.s.dict.TokenHashes()
@@ -299,7 +326,8 @@ func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pai
 		var pairs []uint64
 		pairs = lshProbe(pairs, na, inc.entB[b], true, tokA, tokB, inc.floor)
 		pairs = lshProbe(pairs, na, inc.tailB[b], true, tokA, tokB, inc.floor)
-		pairs = lshJoin(pairs, na, nb, tokA, tokB, inc.floor)
+		first := &lowestBand{keysA: keysNewA, keysB: keysNewB, baseA: oldA, baseB: oldB, bands: bands, band: b}
+		pairs = lshJoin(pairs, na, nb, tokA, tokB, inc.floor, first)
 		pairs = lshProbe(pairs, nb, inc.entA[b], false, tokA, tokB, inc.floor)
 		pairs = lshProbe(pairs, nb, inc.tailA[b], false, tokA, tokB, inc.floor)
 		d := bandDelta{pairs: pairs}
@@ -314,12 +342,9 @@ func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pai
 	for _, o := range outs {
 		total += len(o.pairs)
 	}
-	cands := make([]uint64, 0, total)
+	cands = make([]uint64, 0, total)
 	for _, o := range outs {
 		cands = append(cands, o.pairs...)
-	}
-	if pairs, err = scorePacked(ctx, inc.s, inc.opt, cands); err != nil {
-		return nil, nil, err
 	}
 	commit = func() {
 		for b := 0; b < bands; b++ {
@@ -327,7 +352,7 @@ func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pai
 			inc.entB[b], inc.tailB[b] = outs[b].entB, outs[b].tailB
 		}
 	}
-	return pairs, commit, nil
+	return cands, commit, nil
 }
 
 // lshProbe joins sorted new entries against one sorted retained table by
@@ -350,9 +375,9 @@ func lshProbe(dst, probe, table []uint64, probeIsA bool, tokA, tokB [][]int32, f
 		}
 		if hi > lo {
 			if probeIsA {
-				dst = lshJoin(dst, probe[x:x2], table[lo:hi], tokA, tokB, floor)
+				dst = lshJoin(dst, probe[x:x2], table[lo:hi], tokA, tokB, floor, nil)
 			} else {
-				dst = lshJoin(dst, table[lo:hi], probe[x:x2], tokA, tokB, floor)
+				dst = lshJoin(dst, table[lo:hi], probe[x:x2], tokA, tokB, floor, nil)
 			}
 		}
 		x = x2

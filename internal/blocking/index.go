@@ -372,7 +372,7 @@ func generateSorted(ctx context.Context, s *Scorer, opt Options) ([]Pair, error)
 // threshold. The packed order is exactly (A, B), and fanOut's order-stable
 // merge keeps the output identical at any worker count.
 func scorePacked(ctx context.Context, s *Scorer, opt Options, cands []uint64) ([]Pair, error) {
-	slices.Sort(cands)
+	sortPacked(cands, false)
 	cands = slices.Compact(cands)
 	return fanOut(ctx, s, opt.Workers, len(cands), func(sc *Scratch, lo, hi int) ([]Pair, error) {
 		var out []Pair

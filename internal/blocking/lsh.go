@@ -25,10 +25,10 @@ import (
 // counting them swamps the join). And each band needs one hash per token
 // rather than Rows, so signature construction is Rows times cheaper.
 //
-// Colliding pairs are verified: a token-list intersection count against the
-// MinShared floor first — one linear merge of two short sorted id lists,
-// which also drops spurious hash collisions — then the ordinary ScoreWith
-// threshold.
+// Colliding pairs are verified: a token-list intersection against the
+// MinShared floor first — one linear merge of two short sorted id lists
+// that stops as soon as the floor is reached or out of reach, and also
+// drops spurious hash collisions — then the ordinary ScoreWith threshold.
 //
 // Token hashing is content-based: each band's hash mixes the interner's
 // per-token content hash (a function of the token string only) with the
@@ -38,11 +38,14 @@ import (
 // bit-identical to a from-scratch build over the final tables.
 //
 // Everything is flat arrays: band keys are contiguous uint32 slices, each
-// band joins two sorted (key<<32|record) packed uint64 slices by linear
-// merge with the intersection floor applied inline, and only floor-passing
-// pairs — a small set — are materialized, deduped across bands by the same
-// packed sort-and-compact the sorted-neighborhood mode uses, and scored.
-// No per-record maps anywhere on the hot path.
+// band joins two radix-sorted (key<<32|record) packed uint64 slices by
+// linear merge with the intersection floor applied inline, and only
+// floor-passing pairs — a small set — are materialized and scored. A pair
+// colliding in several bands is verified and emitted in the lowest of them
+// only: band b skips a pair whose two key rows already agree in a band
+// before b, read straight from the key matrix, so the bands together emit
+// each candidate once with no per-pair state. No per-record maps anywhere
+// on the hot path.
 
 // maxLSHHashes caps Rows*Bands: 4096 minhashes per record is far past any
 // useful operating point and bounds the signature memory a request can
@@ -137,10 +140,12 @@ func lshBandKeys(ctx context.Context, workers int, toks [][]int32, hashes []uint
 
 // lshBandEntries packs one band's (key, record) entries of a table into
 // sorted uint64s — key in the top 32 bits, record id below — ready for the
-// linear merge join. Records too short to have a sketch are excluded. base
-// offsets the packed record ids, so the incremental path can build entries
-// for an appended suffix of a table (toks and keys covering only the new
-// records) that slot straight into the full table's id space.
+// linear merge join. Records are appended in ascending order, so sorting
+// by the key half alone yields the fully sorted order. Records too short
+// to have a sketch are excluded. base offsets the packed record ids, so
+// the incremental path can build entries for an appended suffix of a table
+// (toks and keys covering only the new records) that slot straight into
+// the full table's id space.
 func lshBandEntries(toks [][]int32, keys []uint32, rows, bands, band, base, capacity int) []uint64 {
 	out := make([]uint64, 0, capacity)
 	for i := range toks {
@@ -149,15 +154,42 @@ func lshBandEntries(toks [][]int32, keys []uint32, rows, bands, band, base, capa
 		}
 		out = append(out, uint64(keys[i*bands+band])<<32|uint64(uint32(base+i)))
 	}
-	slices.Sort(out)
+	sortPacked(out, true)
 	return out
+}
+
+// lowestBand lets lshJoin emit a colliding pair only in the lowest band
+// where it collides: in band `band` it skips a pair whose two key rows
+// already agree in an earlier band. keysA and keysB are flat key matrices
+// (lshBandKeys) whose row r belongs to record baseA+r and baseB+r. The test
+// reads only the pair's own keys, so bands stay independent, and together
+// they emit exactly the distinct colliding pairs.
+type lowestBand struct {
+	keysA, keysB []uint32
+	baseA, baseB int
+	bands, band  int
+}
+
+// collidedBefore reports whether records i of A and j of B have equal
+// keys in a band before d.band.
+func (d *lowestBand) collidedBefore(i, j int32) bool {
+	ra := d.keysA[(int(i)-d.baseA)*d.bands:][:d.band]
+	rb := d.keysB[(int(j)-d.baseB)*d.bands:][:d.band]
+	for t, k := range ra {
+		if k == rb[t] {
+			return true
+		}
+	}
+	return false
 }
 
 // lshJoin merge-joins two sorted packed (key<<32|record) entry lists,
 // appending every colliding cross pair that passes the shared-token floor to
 // dst as a packed (A<<32)|B candidate. tokA and tokB are the full tables'
-// token lists — entries carry absolute record ids.
-func lshJoin(dst []uint64, ea, eb []uint64, tokA, tokB [][]int32, floor int) []uint64 {
+// token lists — entries carry absolute record ids. A non-nil first skips
+// the pairs that collide in an earlier band; with nil, a pair is emitted in
+// every band it collides in and the caller dedupes.
+func lshJoin(dst []uint64, ea, eb []uint64, tokA, tokB [][]int32, floor int, first *lowestBand) []uint64 {
 	x, y := 0, 0
 	for x < len(ea) && y < len(eb) {
 		ka, kb := ea[x]>>32, eb[y]>>32
@@ -180,7 +212,10 @@ func lshJoin(dst []uint64, ea, eb []uint64, tokA, tokB [][]int32, floor int) []u
 				ta := tokA[i]
 				for yy := y; yy < y2; yy++ {
 					j := int32(uint32(eb[yy]))
-					if similarity.IntersectCount(ta, tokB[j]) >= floor {
+					if first != nil && first.collidedBefore(i, j) {
+						continue
+					}
+					if similarity.IntersectAtLeast(ta, tokB[j], floor) {
 						dst = append(dst, uint64(uint32(i))<<32|uint64(uint32(j)))
 					}
 				}
@@ -192,6 +227,18 @@ func lshJoin(dst []uint64, ea, eb []uint64, tokA, tokB [][]int32, floor int) []u
 }
 
 func generateLSH(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
+	cands, err := lshCandidates(ctx, s, opt)
+	if err != nil {
+		return nil, err
+	}
+	// The packed sort order is exactly (A, B), so the output comes back
+	// sorted like every other mode.
+	return scorePacked(ctx, s, opt, cands)
+}
+
+// lshCandidates returns the distinct floor-passing colliding pairs of the
+// scorer's tables as packed (A<<32)|B keys, band by band, unsorted.
+func lshCandidates(ctx context.Context, s *Scorer, opt Options) ([]uint64, error) {
 	rows, bands := opt.Rows, opt.Bands
 	tokA, tokB, err := s.blockTokens(opt.Attribute)
 	if err != nil {
@@ -220,27 +267,26 @@ func generateLSH(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 	floor := lshFloor(opt)
 
 	// Per-band bucket join, bands in parallel: sort both tables' packed
-	// (key, record) entries, linear-merge equal-key runs, and intersect the
-	// token lists of every colliding pair right there — the intersection
-	// floor kills the one-shared-token flood at the cost of a short merge
-	// per collision, and only floor-passing pairs are kept as packed
-	// (A<<32)|B candidates. A pair colliding in several bands is counted
-	// again in each; survivors are few, so the duplicates are cheaper than
-	// tracking per-pair state across bands.
+	// (key, record) entries, linear-merge equal-key runs, and verify each
+	// colliding pair right there — first that it collides in no earlier
+	// band (one compare per earlier band on two rows of the key matrix, so
+	// each pair is verified in its lowest colliding band only), then the
+	// intersection floor, which kills the one-shared-token flood at the
+	// cost of a short merge. Only floor-passing pairs are kept, as packed
+	// (A<<32)|B candidates.
 	perBand, err := parallel.Map(opt.Workers, bands, func(b int) ([]uint64, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		ea := lshBandEntries(tokA, keysA, rows, bands, b, 0, capA)
 		eb := lshBandEntries(tokB, keysB, rows, bands, b, 0, capB)
-		return lshJoin(nil, ea, eb, tokA, tokB, floor), nil
+		first := &lowestBand{keysA: keysA, keysB: keysB, bands: bands, band: b}
+		return lshJoin(nil, ea, eb, tokA, tokB, floor, first), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Dedupe across bands and score; the packed sort order is exactly
-	// (A, B), so the output comes back sorted like every other mode.
-	return scorePacked(ctx, s, opt, slices.Concat(perBand...))
+	return slices.Concat(perBand...), nil
 }
 
 // lshFloor is the shared-token count a colliding pair must reach to be

@@ -159,6 +159,32 @@ func IntersectCount(a, b []int32) int {
 	return inter
 }
 
+// IntersectAtLeast reports whether |a ∩ b| >= k for two sorted distinct id
+// slices — IntersectCount(a, b) >= k, by the same linear merge, returning
+// as soon as k shared ids are found or the rest of either slice is too
+// short to reach k. k <= 0 is always true.
+func IntersectAtLeast(a, b []int32, k int) bool {
+	if k <= 0 {
+		return true
+	}
+	i, j := 0, 0
+	for len(a)-i >= k && len(b)-j >= k {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			if k--; k == 0 {
+				return true
+			}
+			i++
+			j++
+		}
+	}
+	return false
+}
+
 // JaccardIDs computes the Jaccard coefficient of two sorted distinct id
 // slices — the interned form of JaccardSets, bit-identical on the same
 // token sets.
