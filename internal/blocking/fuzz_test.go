@@ -91,8 +91,11 @@ func FuzzLSHEmitsEachPairOnce(f *testing.F) {
 
 		// Every collision in every band, deduped afterwards.
 		seeds := lshSeeds(opt.Bands)
-		keysA, _ := lshBandKeys(ctx, 1, tokA, s.dict.TokenHashes(), seeds, opt.Rows, opt.Bands)
-		keysB, _ := lshBandKeys(ctx, 1, tokB, s.dict.TokenHashes(), seeds, opt.Rows, opt.Bands)
+		keysA, errA := lshBandKeys(ctx, 1, tokA, s.dict.TokenHashes(), seeds, opt.Rows, opt.Bands)
+		keysB, errB := lshBandKeys(ctx, 1, tokB, s.dict.TokenHashes(), seeds, opt.Rows, opt.Bands)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
 		var all []uint64
 		for b := 0; b < opt.Bands; b++ {
 			ea := lshBandEntries(tokA, keysA, opt.Rows, opt.Bands, b, 0, len(tokA))

@@ -363,13 +363,13 @@ func TestEquivalenceSortedNeighborhood(t *testing.T) {
 
 // refLSHKeys recomputes one record's band keys from scratch: per band, every
 // token's content hash mixed with the band seed, a full sort, the Rows
-// smallest folded into the top 32 bits of a splitmix64 chain. ok is false
-// for a record with fewer than rows tokens, which has no sketch.
-func refLSHKeys(dict *similarity.Interner, toks map[string]struct{}, rows, bands int) (keys []uint32, ok bool) {
+// smallest folded into the top 32 bits of a splitmix64 chain. A record
+// with fewer than rows tokens has no sketch: nil.
+func refLSHKeys(dict *similarity.Interner, toks map[string]struct{}, rows, bands int) []uint32 {
 	if len(toks) < rows {
-		return nil, false
+		return nil
 	}
-	keys = make([]uint32, bands)
+	keys := make([]uint32, bands)
 	for b := range keys {
 		seed := splitmix64(lshSeedBase + uint64(b))
 		var hs []uint64
@@ -387,7 +387,7 @@ func refLSHKeys(dict *similarity.Interner, toks map[string]struct{}, rows, bands
 		}
 		keys[b] = uint32(key >> 32)
 	}
-	return keys, true
+	return keys
 }
 
 // refLSH is the per-pair LSH oracle: a pair is a candidate exactly when
@@ -409,7 +409,7 @@ func refLSH(t testing.TB, s *refScorer, dict *similarity.Interner, attribute str
 		keys := make([][]uint32, len(tab.Records))
 		for i, r := range tab.Records {
 			toks[i] = similarity.TokenSet(r.Values[col])
-			keys[i], _ = refLSHKeys(dict, toks[i], rows, bands)
+			keys[i] = refLSHKeys(dict, toks[i], rows, bands)
 		}
 		return toks, keys
 	}
