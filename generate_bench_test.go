@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"humo"
+	"humo/internal/blocking"
 )
 
 // benchTables builds bibliographic-style tables for the large-scale
@@ -232,6 +233,26 @@ func BenchmarkGenerateWorkloadDS(b *testing.B) {
 		}
 		if len(g.Candidates) == 0 {
 			b.Fatal("no candidates")
+		}
+	}
+}
+
+// BenchmarkNewScorer builds the scorer of dsQuarterRecipe's tables, the
+// serial preprocessing in front of every generation: tokenizing and
+// interning each record's Jaccard columns and every shared attribute's
+// blocking tokens, and interning the Jaro–Winkler venue values. The
+// distinct-value weights are resolved once, outside the timer.
+func BenchmarkNewScorer(b *testing.B) {
+	ta, tb, gen := dsQuarterRecipe(b)
+	specs, err := blocking.DistinctValueSpecs(ta, tb, gen.Specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := blocking.NewScorer(ta, tb, specs); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

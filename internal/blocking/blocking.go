@@ -11,8 +11,14 @@
 // (Jaro–Winkler, Levenshtein): each distinct value is decoded to runes
 // once, and where a column's distinct values are few enough, the kernel's
 // result per (value in A, value in B) is memoized on first use, so it runs
-// once per distinct value pair rather than once per candidate. Scoring a
-// pair allocates nothing and never re-tokenizes. Apart from memo fills
+// once per distinct value pair rather than once per candidate. Tokens are
+// scanned into a reused buffer and looked up in the dictionary as bytes,
+// so only a token seen for the first time allocates, and a string-kernel
+// column's blocking tokens are scanned once per distinct value. Scoring a
+// pair allocates nothing and never re-tokenizes; ModeLSH scores each pair
+// inside the band join that verifies it, taking the Jaccard of the
+// blocking attribute from the shared-token count it has just made. Apart
+// from memo fills
 // (atomic, and identical whoever makes them) a Scorer is read-only after
 // construction, so any number of Generate calls may share one
 // concurrently; the one sanctioned mutation is the streaming path —
@@ -199,9 +205,12 @@ type Scorer struct {
 }
 
 // blockCols is the interned token-set view of one shared attribute in both
-// tables.
+// tables. valA and valB hold, for a column that only a string-kernel spec
+// covers, the token list of each distinct value by value id: its records
+// share those lists.
 type blockCols struct {
-	a, b [][]int32
+	a, b       [][]int32
+	valA, valB [][]int32
 }
 
 // NewScorer validates the specs against both tables and preprocesses every
@@ -283,25 +292,33 @@ func (s *Scorer) buildBlockTokens() {
 			continue // not shared; blocking on it fails at Generate time
 		}
 		have := prev[name]
-		s.blockTok[name] = blockCols{
-			a: s.tokenColumn(s.ta, colA, s.repA, func(k int) bool { return s.colA[k] == colA }, have.a),
-			b: s.tokenColumn(s.tb, colB, s.repB, func(k int) bool { return s.colB[k] == colB }, have.b),
-		}
+		var bc blockCols
+		bc.a, bc.valA = s.tokenColumn(s.ta, colA, s.repA, func(k int) bool { return s.colA[k] == colA }, have.a, have.valA)
+		bc.b, bc.valB = s.tokenColumn(s.tb, colB, s.repB, func(k int) bool { return s.colB[k] == colB }, have.b, have.valB)
+		s.blockTok[name] = bc
 	}
 }
 
 // tokenColumn returns the sorted distinct token ids of one table column,
 // reusing a spec's interned representation when one covers the column.
-// have is the column as previously built (nil the first time); only the
-// records past its end are converted or interned.
-func (s *Scorer) tokenColumn(t *records.Table, col int, reps []colRep, covers func(k int) bool, have [][]int32) [][]int32 {
+// have is the column as previously built (nil the first time), and vals
+// its per-value token lists; only the records past its end are converted
+// or interned.
+//
+// A column covered only by a string-kernel spec tokenizes each distinct
+// value once, when its first record is reached — in value-id order, which
+// interns tokens in the same first-seen order as tokenizing every record —
+// and its records share the value's list (vals, returned for the next
+// extension).
+func (s *Scorer) tokenColumn(t *records.Table, col int, reps []colRep, covers func(k int) bool, have, vals [][]int32) ([][]int32, [][]int32) {
+	kernel := -1
 	for k, spec := range s.specs {
 		if !covers(k) {
 			continue
 		}
 		switch spec.Kind {
 		case KindJaccard:
-			return reps[k].tokens
+			return reps[k].tokens, nil
 		case KindCosine:
 			// TFVec.IDs are sorted distinct ids — the same list InternTokens
 			// would produce.
@@ -309,14 +326,26 @@ func (s *Scorer) tokenColumn(t *records.Table, col int, reps []colRep, covers fu
 			for i := len(toks); i < len(reps[k].tf); i++ {
 				toks = append(toks, reps[k].tf[i].IDs)
 			}
-			return toks
+			return toks, nil
+		default:
+			if kernel < 0 {
+				kernel = k
+			}
 		}
 	}
 	toks := slices.Grow(have, len(t.Records)-len(have))
 	for i := len(toks); i < len(t.Records); i++ {
-		toks = append(toks, s.dict.InternTokens(t.Records[i].Values[col]))
+		if kernel < 0 {
+			toks = append(toks, s.dict.InternTokens(t.Records[i].Values[col]))
+			continue
+		}
+		v := reps[kernel].ids[i]
+		if int(v) == len(vals) {
+			vals = append(vals, s.dict.InternTokens(t.Records[i].Values[col]))
+		}
+		toks = append(toks, vals[v])
 	}
-	return toks
+	return toks, vals
 }
 
 // extend brings the scorer's preprocessed representations up to date with
@@ -428,11 +457,50 @@ func (s *Scorer) Score(i, j int) float64 {
 // ScoreWith is Score with caller-owned scratch: the allocation-free form
 // for tight loops. The scratch must be exclusive to the calling goroutine.
 func (s *Scorer) ScoreWith(sc *Scratch, i, j int) float64 {
+	return s.scoreCounted(sc, i, j, nil, 0, 0, 0)
+}
+
+// scoreCounted is ScoreWith for a caller that has already counted the
+// shared tokens of the pair's blocking token lists: inter shared of la and
+// lb. Each spec flagged in counted (see countedSpecs) takes its Jaccard
+// from that count, with JaccardIDs' own formula, rather than merging the
+// same lists again; ScoreWith passes no flags. The weighted sum runs in
+// spec order either way, so the bits are ScoreWith's.
+func (s *Scorer) scoreCounted(sc *Scratch, i, j int, counted []bool, inter, la, lb int) float64 {
 	var sum float64
 	for k := range s.specs {
-		sum += s.weights[k] * s.attrSim(sc, k, i, j)
+		var sim float64
+		if k < len(counted) && counted[k] {
+			sim = similarity.JaccardFromCount(inter, la, lb)
+		} else {
+			sim = s.attrSim(sc, k, i, j)
+		}
+		sum += s.weights[k] * sim
 	}
 	return sum
+}
+
+// countedSpecs flags the KindJaccard specs over the named attribute. Their
+// token lists are the very lists blockTokens returns for it — every
+// tokenization of one column interns the same sorted distinct ids — so a
+// join that counted the shared blocking tokens can score them from the
+// count (scoreCounted). Nil when no spec qualifies.
+func (s *Scorer) countedSpecs(attribute string) []bool {
+	colA, errA := s.ta.AttributeIndex(attribute)
+	colB, errB := s.tb.AttributeIndex(attribute)
+	if errA != nil || errB != nil {
+		return nil
+	}
+	var counted []bool
+	for k, spec := range s.specs {
+		if spec.Kind == KindJaccard && s.colA[k] == colA && s.colB[k] == colB {
+			if counted == nil {
+				counted = make([]bool, len(s.specs))
+			}
+			counted[k] = true
+		}
+	}
+	return counted
 }
 
 // Features returns the per-attribute similarity vector, the SVM feature

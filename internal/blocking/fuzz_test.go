@@ -54,7 +54,8 @@ func FuzzSortPacked(f *testing.F) {
 // deltaLSH (all of whose pairs come from its new×new join), emit each
 // candidate in one band only — no duplicate pair at all — and together
 // exactly the distinct pairs that a join emitting every collision in
-// every band, deduped afterwards, would give.
+// every band, deduped afterwards, would give. Threshold 0 keeps every
+// pair that passes the floor, so the scored output is the candidate set.
 func FuzzLSHEmitsEachPairOnce(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(8), uint8(1))
 	f.Add(int64(2), uint8(2), uint8(16), uint8(2))
@@ -72,7 +73,7 @@ func FuzzLSHEmitsEachPairOnce(f *testing.F) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		gen, err := lshCandidates(ctx, s, opt)
+		gen, err := generateLSH(ctx, s, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func FuzzLSHEmitsEachPairOnce(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, _, err := inc.deltaLSHCandidates(ctx, tokA, tokB)
+		delta, _, err := inc.deltaLSH(ctx, tokA, tokB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,13 +101,16 @@ func FuzzLSHEmitsEachPairOnce(f *testing.F) {
 		for b := 0; b < opt.Bands; b++ {
 			ea := lshBandEntries(tokA, keysA, opt.Rows, opt.Bands, b, 0, len(tokA))
 			eb := lshBandEntries(tokB, keysB, opt.Rows, opt.Bands, b, 0, len(tokB))
-			all = lshJoin(all, ea, eb, tokA, tokB, lshFloor(opt), nil)
+			lshJoin(ea, eb, nil, floorVisit(&all, tokA, tokB, lshFloor(opt)))
 		}
 		slices.Sort(all)
 		want := slices.Compact(all)
 
-		for name, got := range map[string][]uint64{"generateLSH": gen, "epoch-0 deltaLSH": delta} {
-			got = slices.Clone(got)
+		for name, pairs := range map[string][]Pair{"generateLSH": gen, "epoch-0 deltaLSH": delta} {
+			got := make([]uint64, len(pairs))
+			for i, p := range pairs {
+				got[i] = uint64(p.A)<<32 | uint64(p.B)
+			}
 			slices.Sort(got)
 			for i := 1; i < len(got); i++ {
 				if got[i] == got[i-1] {

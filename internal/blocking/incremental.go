@@ -1,7 +1,6 @@
 package blocking
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -209,8 +208,7 @@ func (inc *Incremental) deltaToken(ctx context.Context, tokA, tokB [][]int32) (p
 	if err != nil {
 		return nil, nil, err
 	}
-	pairs = append(fromA, fromB...)
-	slices.SortFunc(pairs, func(x, y Pair) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
+	pairs = orderPairs([][]Pair{fromA, fromB}, newA)
 	commit = func() {
 		for i := oldA; i < newA; i++ {
 			for _, t := range prefNewA[i-oldA] {
@@ -275,31 +273,20 @@ func (inc *Incremental) probe(ctx context.Context, pref [][]int32, base int, own
 	})
 }
 
-// deltaLSH scores deltaLSHCandidates' pairs; see there.
+// deltaLSH sketches only the records past lenA/lenB and joins them
+// against the retained band tables: per band, new-A×old-B, new-A×new-B and
+// old-A×new-B — every colliding pair that involves a new record. The
+// new×new join has both key matrices at hand, so it meets each pair in its
+// lowest colliding band only (all of an epoch 0) and scores it in place
+// (bandScorer), as generateLSH does. The old sides' keys are not retained
+// (they would cost 4·Bands bytes per record), so a new×old pair comes once
+// per band it collides in: those are verified against the shared-token
+// floor as packed (A<<32)|B keys and handed to scorePacked, whose compact
+// dedupes them. The old sides are probed by binary search per new key
+// (base and tail separately), so a Sync reads only the buckets the new
+// records hash into. The retained tables are only swapped for their grown
+// successors by the returned commit.
 func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pairs []Pair, commit func(), err error) {
-	cands, commit, err := inc.deltaLSHCandidates(ctx, tokA, tokB)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pairs, err = scorePacked(ctx, inc.s, inc.opt, cands); err != nil {
-		return nil, nil, err
-	}
-	return pairs, commit, nil
-}
-
-// deltaLSHCandidates sketches only the records past lenA/lenB and joins
-// them against the retained band tables: per band, new-A×old-B,
-// new-A×new-B and old-A×new-B — every colliding pair that involves a new
-// record, each verified against the shared-token floor inline, as packed
-// (A<<32)|B keys. The new×new join has both key matrices at hand, so it
-// emits each pair in its lowest colliding band only (all of an epoch 0);
-// the old sides' keys are not retained, so a new×old pair comes once per
-// band it collides in and scorePacked's compact dedupes it. The old sides
-// are probed by binary search per new key (base and tail separately), so a
-// Sync reads only the buckets the new records hash into. The retained
-// tables are only swapped for their grown successors by the returned
-// commit.
-func (inc *Incremental) deltaLSHCandidates(ctx context.Context, tokA, tokB [][]int32) (cands []uint64, commit func(), err error) {
 	rows, bands := inc.opt.Rows, inc.opt.Bands
 	oldA, oldB := inc.lenA, inc.lenB
 	hashes := inc.s.dict.TokenHashes()
@@ -312,8 +299,10 @@ func (inc *Incremental) deltaLSHCandidates(ctx context.Context, tokA, tokB [][]i
 	if err != nil {
 		return nil, nil, err
 	}
+	bs := newBandScorer(inc.s, inc.opt, tokA, tokB)
 	type bandDelta struct {
-		pairs        []uint64
+		probed       []uint64 // new×old candidates, packed
+		scored       []Pair   // new×new pairs at or above the threshold
 		entA, entB   []uint64
 		tailA, tailB []uint64
 	}
@@ -323,14 +312,17 @@ func (inc *Incremental) deltaLSHCandidates(ctx context.Context, tokA, tokB [][]i
 		}
 		na := lshBandEntries(newToksA, keysNewA, rows, bands, b, oldA, len(newToksA))
 		nb := lshBandEntries(newToksB, keysNewB, rows, bands, b, oldB, len(newToksB))
-		var pairs []uint64
-		pairs = lshProbe(pairs, na, inc.entB[b], true, tokA, tokB, inc.floor)
-		pairs = lshProbe(pairs, na, inc.tailB[b], true, tokA, tokB, inc.floor)
+		var d bandDelta
+		keep := floorVisit(&d.probed, tokA, tokB, inc.floor)
+		lshProbe(na, inc.entB[b], true, keep)
+		lshProbe(na, inc.tailB[b], true, keep)
+		lshProbe(nb, inc.entA[b], false, keep)
+		lshProbe(nb, inc.tailA[b], false, keep)
 		first := &lowestBand{keysA: keysNewA, keysB: keysNewB, baseA: oldA, baseB: oldB, bands: bands, band: b}
-		pairs = lshJoin(pairs, na, nb, tokA, tokB, inc.floor, first)
-		pairs = lshProbe(pairs, nb, inc.entA[b], false, tokA, tokB, inc.floor)
-		pairs = lshProbe(pairs, nb, inc.tailA[b], false, tokA, tokB, inc.floor)
-		d := bandDelta{pairs: pairs}
+		var err error
+		if d.scored, err = bs.join(ctx, na, nb, first); err != nil {
+			return bandDelta{}, err
+		}
 		d.entA, d.tailA = foldTail(inc.entA[b], inc.tailA[b], na)
 		d.entB, d.tailB = foldTail(inc.entB[b], inc.tailB[b], nb)
 		return d, nil
@@ -338,13 +330,15 @@ func (inc *Incremental) deltaLSHCandidates(ctx context.Context, tokA, tokB [][]i
 	if err != nil {
 		return nil, nil, err
 	}
-	total := 0
+	var probed []uint64
+	parts := make([][]Pair, 0, bands+1)
 	for _, o := range outs {
-		total += len(o.pairs)
+		probed = append(probed, o.probed...)
+		parts = append(parts, o.scored)
 	}
-	cands = make([]uint64, 0, total)
-	for _, o := range outs {
-		cands = append(cands, o.pairs...)
+	fromOld, err := scorePacked(ctx, inc.s, inc.opt, probed)
+	if err != nil {
+		return nil, nil, err
 	}
 	commit = func() {
 		for b := 0; b < bands; b++ {
@@ -352,16 +346,16 @@ func (inc *Incremental) deltaLSHCandidates(ctx context.Context, tokA, tokB [][]i
 			inc.entB[b], inc.tailB[b] = outs[b].entB, outs[b].tailB
 		}
 	}
-	return cands, commit, nil
+	return orderPairs(append(parts, fromOld), len(tokA)), commit, nil
 }
 
 // lshProbe joins sorted new entries against one sorted retained table by
 // binary search: for each run of equal keys in probe it locates the
 // table's bucket with that key and merge-joins the two runs through
-// lshJoin. probeIsA says which side probe holds, so emitted candidates
-// stay (A<<32)|B packed. The table is never walked outside the buckets the
-// probe hits.
-func lshProbe(dst, probe, table []uint64, probeIsA bool, tokA, tokB [][]int32, floor int) []uint64 {
+// lshJoin, visiting every colliding pair. probeIsA says which side probe
+// holds, so visit always receives (A, B). The table is never walked
+// outside the buckets the probe hits.
+func lshProbe(probe, table []uint64, probeIsA bool, visit func(i, j int32) bool) {
 	for x := 0; x < len(probe); {
 		key := probe[x] >> 32
 		x2 := x + 1
@@ -375,14 +369,13 @@ func lshProbe(dst, probe, table []uint64, probeIsA bool, tokA, tokB [][]int32, f
 		}
 		if hi > lo {
 			if probeIsA {
-				dst = lshJoin(dst, probe[x:x2], table[lo:hi], tokA, tokB, floor, nil)
+				lshJoin(probe[x:x2], table[lo:hi], nil, visit)
 			} else {
-				dst = lshJoin(dst, table[lo:hi], probe[x:x2], tokA, tokB, floor, nil)
+				lshJoin(table[lo:hi], probe[x:x2], nil, visit)
 			}
 		}
 		x = x2
 	}
-	return dst
 }
 
 // foldTail returns a band table's base and tail after absorbing the sorted

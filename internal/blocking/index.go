@@ -390,3 +390,45 @@ func scorePacked(ctx context.Context, s *Scorer, opt Options, cands []uint64) ([
 		return out, nil
 	})
 }
+
+// orderPairs returns the pairs of parts — distinct, every A in [0, nA) —
+// in one new non-nil slice sorted by (A, B). At least nA pairs are
+// counting-sorted on A, each A's short run then sorted by B, in time
+// linear in the pairs; fewer take one comparison sort, so a small delta
+// over a large table costs nothing per record.
+func orderPairs(parts [][]Pair, nA int) []Pair {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	if n < nA {
+		out := make([]Pair, 0, n)
+		for _, part := range parts {
+			out = append(out, part...)
+		}
+		slices.SortFunc(out, func(x, y Pair) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
+		return out
+	}
+	next := make([]int, nA+1) // next[a]: where A = a's next pair goes
+	for _, part := range parts {
+		for _, p := range part {
+			next[p.A+1]++
+		}
+	}
+	for a := 1; a <= nA; a++ {
+		next[a] += next[a-1]
+	}
+	out := make([]Pair, n)
+	for _, part := range parts {
+		for _, p := range part {
+			out[next[p.A]] = p
+			next[p.A]++
+		}
+	}
+	lo := 0
+	for _, hi := range next[:nA] { // next[a] is now the end of a's run
+		slices.SortFunc(out[lo:hi], func(x, y Pair) int { return cmp.Compare(x.B, y.B) })
+		lo = hi
+	}
+	return out
+}

@@ -2,7 +2,6 @@ package blocking
 
 import (
 	"context"
-	"slices"
 
 	"humo/internal/parallel"
 	"humo/internal/similarity"
@@ -25,10 +24,12 @@ import (
 // counting them swamps the join). And each band needs one hash per token
 // rather than Rows, so signature construction is Rows times cheaper.
 //
-// Colliding pairs are verified: a token-list intersection against the
-// MinShared floor first — one linear merge of two short sorted id lists
-// that stops as soon as the floor is reached or out of reach, and also
-// drops spurious hash collisions — then the ordinary ScoreWith threshold.
+// Colliding pairs are verified and scored in one step: one linear merge of
+// the two short sorted token-id lists counts the shared tokens, a pair
+// below the MinShared floor is dropped (which also drops spurious hash
+// collisions), and the rest are scored on the spot, every KindJaccard spec
+// on the blocking attribute reading the same count, and kept at or above
+// the threshold.
 //
 // Token hashing is content-based: each band's hash mixes the interner's
 // per-token content hash (a function of the token string only) with the
@@ -39,8 +40,8 @@ import (
 //
 // Everything is flat arrays: band keys are contiguous uint32 slices, each
 // band joins two radix-sorted (key<<32|record) packed uint64 slices by
-// linear merge with the intersection floor applied inline, and only
-// floor-passing pairs — a small set — are materialized and scored. A pair
+// linear merge with verification and scoring inline, and only the pairs
+// that reach the threshold — a small set — are materialized. A pair
 // colliding in several bands is verified and emitted in the lowest of them
 // only: band b skips a pair whose two key rows already agree in a band
 // before b, read straight from the key matrix, so the bands together emit
@@ -183,13 +184,12 @@ func (d *lowestBand) collidedBefore(i, j int32) bool {
 	return false
 }
 
-// lshJoin merge-joins two sorted packed (key<<32|record) entry lists,
-// appending every colliding cross pair that passes the shared-token floor to
-// dst as a packed (A<<32)|B candidate. tokA and tokB are the full tables'
-// token lists — entries carry absolute record ids. A non-nil first skips
-// the pairs that collide in an earlier band; with nil, a pair is emitted in
-// every band it collides in and the caller dedupes.
-func lshJoin(dst []uint64, ea, eb []uint64, tokA, tokB [][]int32, floor int, first *lowestBand) []uint64 {
+// lshJoin merge-joins two sorted packed (key<<32|record) entry lists and
+// calls visit with every colliding cross pair, as absolute record ids. A
+// non-nil first skips the pairs that collide in an earlier band; with nil,
+// a pair is visited in every band it collides in. visit returning false
+// stops the join.
+func lshJoin(ea, eb []uint64, first *lowestBand, visit func(i, j int32) bool) {
 	x, y := 0, 0
 	for x < len(ea) && y < len(eb) {
 		ka, kb := ea[x]>>32, eb[y]>>32
@@ -209,36 +209,89 @@ func lshJoin(dst []uint64, ea, eb []uint64, tokA, tokB [][]int32, floor int, fir
 			}
 			for ; x < x2; x++ {
 				i := int32(uint32(ea[x]))
-				ta := tokA[i]
 				for yy := y; yy < y2; yy++ {
 					j := int32(uint32(eb[yy]))
 					if first != nil && first.collidedBefore(i, j) {
 						continue
 					}
-					if similarity.IntersectAtLeast(ta, tokB[j], floor) {
-						dst = append(dst, uint64(uint32(i))<<32|uint64(uint32(j)))
+					if !visit(i, j) {
+						return
 					}
 				}
 			}
 			y = y2
 		}
 	}
-	return dst
 }
 
-func generateLSH(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
-	cands, err := lshCandidates(ctx, s, opt)
-	if err != nil {
-		return nil, err
+// floorVisit returns an lshJoin visitor that appends every pair whose token
+// lists share at least floor tokens to *dst as a packed (A<<32)|B key.
+func floorVisit(dst *[]uint64, tokA, tokB [][]int32, floor int) func(i, j int32) bool {
+	return func(i, j int32) bool {
+		if similarity.IntersectAtLeast(tokA[i], tokB[j], floor) {
+			*dst = append(*dst, uint64(uint32(i))<<32|uint64(uint32(j)))
+		}
+		return true
 	}
-	// The packed sort order is exactly (A, B), so the output comes back
-	// sorted like every other mode.
-	return scorePacked(ctx, s, opt, cands)
 }
 
-// lshCandidates returns the distinct floor-passing colliding pairs of the
-// scorer's tables as packed (A<<32)|B keys, band by band, unsorted.
-func lshCandidates(ctx context.Context, s *Scorer, opt Options) ([]uint64, error) {
+// bandScorer verifies and scores the pairs of an LSH band join in one step:
+// a pair's blocking token lists are counted once, a pair below the floor is
+// dropped, and any other is scored right there — its KindJaccard specs on
+// the blocking attribute from that same count (see Scorer.scoreCounted) —
+// and kept when it reaches the threshold. Only the kept pairs are ever
+// held.
+type bandScorer struct {
+	s          *Scorer
+	tokA, tokB [][]int32
+	counted    []bool
+	floor      int
+	threshold  float64
+}
+
+func newBandScorer(s *Scorer, opt Options, tokA, tokB [][]int32) *bandScorer {
+	return &bandScorer{
+		s: s, tokA: tokA, tokB: tokB, counted: s.countedSpecs(opt.Attribute),
+		floor: lshFloor(opt), threshold: opt.Threshold,
+	}
+}
+
+// join runs lshJoin over one band's entries and returns the kept pairs in
+// join order, checking ctx every ctxStride visited pairs.
+func (bs *bandScorer) join(ctx context.Context, ea, eb []uint64, first *lowestBand) ([]Pair, error) {
+	sc := bs.s.NewScratch()
+	var (
+		out     []Pair
+		err     error
+		visited int
+	)
+	lshJoin(ea, eb, first, func(i, j int32) bool {
+		if visited++; visited%ctxStride == 0 {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+		}
+		ta, tb := bs.tokA[i], bs.tokB[j]
+		inter := similarity.IntersectCount(ta, tb)
+		if inter < bs.floor {
+			return true
+		}
+		if sim := bs.s.scoreCounted(sc, int(i), int(j), bs.counted, inter, len(ta), len(tb)); sim >= bs.threshold {
+			out = append(out, Pair{A: int(i), B: int(j), Sim: sim})
+		}
+		return true
+	})
+	return out, err
+}
+
+// generateLSH is the scored band join over the scorer's full tables. Bands
+// run in parallel: each sorts both tables' packed (key, record) entries,
+// linear-merges equal-key runs, skips a colliding pair that collides in an
+// earlier band (one compare per earlier band on two rows of the key
+// matrix, so each pair is met in its lowest colliding band only), and
+// verifies and scores the rest in place (bandScorer). The bands' kept
+// pairs are disjoint; sorted together they are the (A, B)-ordered output.
+func generateLSH(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 	rows, bands := opt.Rows, opt.Bands
 	tokA, tokB, err := s.blockTokens(opt.Attribute)
 	if err != nil {
@@ -264,29 +317,19 @@ func lshCandidates(ctx context.Context, s *Scorer, opt Options) ([]uint64, error
 		return n
 	}
 	capA, capB := sketched(tokA), sketched(tokB)
-	floor := lshFloor(opt)
-
-	// Per-band bucket join, bands in parallel: sort both tables' packed
-	// (key, record) entries, linear-merge equal-key runs, and verify each
-	// colliding pair right there — first that it collides in no earlier
-	// band (one compare per earlier band on two rows of the key matrix, so
-	// each pair is verified in its lowest colliding band only), then the
-	// intersection floor, which kills the one-shared-token flood at the
-	// cost of a short merge. Only floor-passing pairs are kept, as packed
-	// (A<<32)|B candidates.
-	perBand, err := parallel.Map(opt.Workers, bands, func(b int) ([]uint64, error) {
+	bs := newBandScorer(s, opt, tokA, tokB)
+	perBand, err := parallel.Map(opt.Workers, bands, func(b int) ([]Pair, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		ea := lshBandEntries(tokA, keysA, rows, bands, b, 0, capA)
 		eb := lshBandEntries(tokB, keysB, rows, bands, b, 0, capB)
-		first := &lowestBand{keysA: keysA, keysB: keysB, bands: bands, band: b}
-		return lshJoin(nil, ea, eb, tokA, tokB, floor, first), nil
+		return bs.join(ctx, ea, eb, &lowestBand{keysA: keysA, keysB: keysB, bands: bands, band: b})
 	})
 	if err != nil {
 		return nil, err
 	}
-	return slices.Concat(perBand...), nil
+	return orderPairs(perBand, len(tokA)), nil
 }
 
 // lshFloor is the shared-token count a colliding pair must reach to be

@@ -3,6 +3,9 @@ package blocking
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -217,5 +220,93 @@ func TestGenerateConcurrentSameScorer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestEquivalenceLSHScoredJoin holds the scored band join to the per-pair
+// oracle on the blocking attributes where it cannot score every spec from
+// the shared-token count: one scored by Cosine only, one by Jaro–Winkler
+// only, one no spec covers, and one carrying two Jaccard specs (both taken
+// from the count). Generate and an epoch-0 NewIncremental must match the
+// oracle bit for bit, at one worker and at four.
+func TestEquivalenceLSHScoredJoin(t *testing.T) {
+	ta, tb := synthTables(150, 200, 7)
+	cases := []struct {
+		name, attribute string
+		specs           []AttributeSpec
+		rows            int
+		counted         []bool
+	}{
+		{"cosine only", "description", synthSpecs(), 2, nil},
+		{"jaro-winkler only", "brand", synthSpecs(), 1, nil},
+		{"no spec", "description", []AttributeSpec{
+			{Attribute: "name", Kind: KindJaccard, Weight: 3},
+			{Attribute: "brand", Kind: KindJaroWinkler, Weight: 1},
+		}, 2, nil},
+		{"two jaccard", "name", []AttributeSpec{
+			{Attribute: "name", Kind: KindJaccard, Weight: 4},
+			{Attribute: "description", Kind: KindCosine, Weight: 2},
+			{Attribute: "name", Kind: KindJaccard, Weight: 1},
+		}, 2, []bool{true, false, true}},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		s, err := NewScorer(ta, tb, c.specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.countedSpecs(c.attribute); !slices.Equal(got, c.counted) {
+			t.Fatalf("%s: countedSpecs = %v, want %v", c.name, got, c.counted)
+		}
+		ref := newRefScorer(t, ta, tb, c.specs)
+		for _, threshold := range []float64{0, 0.3} {
+			want := refLSH(t, ref, s.Dict(), c.attribute, c.rows, 8, 1, threshold)
+			if threshold == 0 && len(want) == 0 {
+				t.Fatalf("%s: the oracle finds no candidates", c.name)
+			}
+			for _, workers := range []int{1, 4} {
+				opt := Options{
+					Mode: ModeLSH, Attribute: c.attribute, Rows: c.rows, Bands: 8,
+					MinShared: 1, Threshold: threshold, Workers: workers,
+				}
+				label := fmt.Sprintf("%s t=%v workers=%d", c.name, threshold, workers)
+				got, err := Generate(ctx, s, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requirePairsEqual(t, label, got, want)
+				_, epoch0, err := NewIncremental(ctx, s, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requirePairsEqual(t, label+" epoch 0", epoch0, want)
+			}
+		}
+	}
+}
+
+// TestOrderPairs holds both of orderPairs' sorts to one comparison sort:
+// distinct random pairs split over several parts (an empty one included),
+// with fewer pairs than records in A and with more.
+func TestOrderPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct{ n, nA, nB int }{{0, 0, 5}, {0, 40, 5}, {30, 100, 50}, {500, 40, 60}, {2000, 300, 300}} {
+		seen := map[[2]int]bool{}
+		var all []Pair
+		for len(all) < c.n {
+			p := Pair{A: rng.Intn(c.nA), B: rng.Intn(c.nB), Sim: rng.Float64()}
+			if !seen[[2]int{p.A, p.B}] {
+				seen[[2]int{p.A, p.B}] = true
+				all = append(all, p)
+			}
+		}
+		cut := c.n / 3
+		got := orderPairs([][]Pair{all[:cut], nil, all[cut:]}, c.nA)
+		want := slices.Clone(all)
+		refSortPairs(want)
+		if got == nil {
+			t.Fatalf("n=%d nA=%d: nil result", c.n, c.nA)
+		}
+		requirePairsEqual(t, fmt.Sprintf("n=%d nA=%d", c.n, c.nA), got, want)
 	}
 }

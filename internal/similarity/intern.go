@@ -2,7 +2,7 @@ package similarity
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file holds the interned, allocation-conscious forms of the string
@@ -19,11 +19,18 @@ import (
 // term-frequency vector can be represented as sorted id slices and compared
 // by linear merge with zero allocation. An Interner is not safe for
 // concurrent mutation; build it once during preprocessing and share it
-// read-only afterwards.
+// read-only afterwards. InternTokens and InternTermFreq count as mutation
+// even when every token is already known: they reuse the interner's
+// scratch.
 type Interner struct {
 	ids    map[string]int32
 	toks   []string
 	hashes []uint64
+
+	// Scratch of InternTokens and InternTermFreq: the token scanner's
+	// buffer and the ids of the string being interned.
+	buf []byte
+	scr []int32
 }
 
 // NewInterner returns an empty dictionary.
@@ -80,27 +87,33 @@ func (in *Interner) Token(id int32) string { return in.toks[id] }
 // Len returns the number of distinct tokens interned.
 func (in *Interner) Len() int { return len(in.toks) }
 
+// internAll tokenizes s (Tokenize rules) and returns the ids of its tokens
+// in token order, interning new ones, in the interner's scratch (valid
+// until the next call). A token already interned is looked up straight
+// from the scanner's buffer: only a new token allocates its string.
+func (in *Interner) internAll(s string) []int32 {
+	ids := in.scr[:0]
+	sc := tokenScanner{s: s, buf: in.buf}
+	for tok, ok := sc.next(); ok; tok, ok = sc.next() {
+		id, seen := in.ids[string(tok)]
+		if !seen {
+			id = in.Intern(string(tok))
+		}
+		ids = append(ids, id)
+	}
+	in.buf, in.scr = sc.buf, ids
+	return ids
+}
+
 // InternTokens tokenizes s (Tokenize rules) and returns the sorted distinct
 // token ids — the interned form of TokenSet, ready for JaccardIDs.
 func (in *Interner) InternTokens(s string) []int32 {
-	toks := Tokenize(s)
-	if len(toks) == 0 {
+	ids := in.internAll(s)
+	if len(ids) == 0 {
 		return nil
 	}
-	ids := make([]int32, 0, len(toks))
-	for _, tok := range toks {
-		ids = append(ids, in.Intern(tok))
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Dedupe in place: TokenSet keeps distinct tokens only.
-	w := 0
-	for i, id := range ids {
-		if i == 0 || id != ids[w-1] {
-			ids[w] = id
-			w++
-		}
-	}
-	return ids[:w]
+	slices.Sort(ids)
+	return slices.Clone(slices.Compact(ids))
 }
 
 // TFVec is the interned term-frequency vector of one string: parallel
@@ -115,17 +128,20 @@ type TFVec struct {
 // InternTermFreq builds the term-frequency vector of s — the interned form
 // of the map termFreq builds for Cosine.
 func (in *Interner) InternTermFreq(s string) TFVec {
-	ids := make([]int32, 0, 8)
-	for _, tok := range Tokenize(s) {
-		ids = append(ids, in.Intern(tok))
-	}
+	ids := in.internAll(s)
 	if len(ids) == 0 {
 		return TFVec{}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	v := TFVec{IDs: ids[:0], Counts: make([]int32, 0, len(ids))}
+	slices.Sort(ids)
+	distinct := 1
+	for i := 1; i < len(ids); i++ {
+		if ids[i] != ids[i-1] {
+			distinct++
+		}
+	}
+	v := TFVec{IDs: make([]int32, 0, distinct), Counts: make([]int32, 0, distinct)}
 	for i, id := range ids {
-		if i > 0 && id == v.IDs[len(v.IDs)-1] {
+		if i > 0 && id == ids[i-1] {
 			v.Counts[len(v.Counts)-1]++
 			continue
 		}
@@ -189,15 +205,21 @@ func IntersectAtLeast(a, b []int32, k int) bool {
 // slices — the interned form of JaccardSets, bit-identical on the same
 // token sets.
 func JaccardIDs(a, b []int32) float64 {
-	if len(a) == 0 && len(b) == 0 {
+	return JaccardFromCount(IntersectCount(a, b), len(a), len(b))
+}
+
+// JaccardFromCount is the Jaccard coefficient of two sets of sizes la and
+// lb sharing inter elements: 1 for two empty sets, 0 when one is empty,
+// otherwise inter/(la+lb-inter). It is JaccardIDs' formula, for callers
+// that already hold the intersection count.
+func JaccardFromCount(inter, la, lb int) float64 {
+	if la == 0 && lb == 0 {
 		return 1
 	}
-	if len(a) == 0 || len(b) == 0 {
+	if la == 0 || lb == 0 {
 		return 0
 	}
-	inter := IntersectCount(a, b)
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	return float64(inter) / float64(la+lb-inter)
 }
 
 // CosineTF computes the cosine similarity of two term-frequency vectors —

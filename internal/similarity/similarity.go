@@ -10,8 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ErrBadWeights reports invalid attribute weights in an aggregator.
@@ -21,22 +21,56 @@ var ErrBadWeights = errors.New("similarity: invalid weights")
 // runes act as separators.
 func Tokenize(s string) []string {
 	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
+	sc := tokenScanner{s: s}
+	for tok, ok := sc.next(); ok; tok, ok = sc.next() {
+		tokens = append(tokens, string(tok))
 	}
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
-		}
-	}
-	flush()
 	return tokens
+}
+
+// tokenScanner yields the tokens of s one at a time, lower-cased into a
+// reusable byte buffer: the one implementation of Tokenize's rules, shared
+// by Tokenize and the interning paths, which look tokens up without
+// allocating a string per token. A rune is a token character when it is a
+// letter or a digit (unicode.IsLetter, unicode.IsDigit), and is lowered by
+// unicode.ToLower; every other rune, an invalid UTF-8 byte included (it
+// decodes to utf8.RuneError, a symbol), separates tokens. ASCII bytes take
+// a fast path with the same result.
+type tokenScanner struct {
+	s   string // the unscanned rest
+	buf []byte
+}
+
+// next returns the next token, valid until the following call, or false
+// when s holds no more tokens.
+func (sc *tokenScanner) next() ([]byte, bool) {
+	s, buf := sc.s, sc.buf[:0]
+	i := 0
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			switch {
+			case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+				buf = append(buf, c)
+				continue
+			case 'A' <= c && c <= 'Z':
+				buf = append(buf, c+('a'-'A'))
+				continue
+			}
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
+				continue
+			}
+		}
+		if len(buf) > 0 {
+			break // a separator ends the token
+		}
+	}
+	sc.s, sc.buf = s[i:], buf
+	return buf, len(buf) > 0
 }
 
 // TokenSet returns the distinct tokens of s.
