@@ -33,13 +33,13 @@
 // scalable), banded bottom-Rows MinHash sketches (ModeLSH, the
 // sub-quadratic path for million-record tables with skewed vocabularies;
 // see lsh.go), and a classical sorted-neighborhood pass, all reached
-// through Generate. ModeToken and ModeLSH additionally support delta
-// maintenance under table appends (incremental.go): Incremental retains the
-// inverted index / band tables and emits only the new-vs-old and
-// new-vs-new candidates, bit-identical in union to a from-scratch rebuild.
-// Its epoch 0 is the same delta step run from empty retained state, so a
-// live workload's blocking state is built once, not generated and then
-// rebuilt.
+// through Generate. ModeToken and ModeLSH each have one join, the delta
+// step of incremental.go, which pairs the records new to its retained
+// inverted index / band tables with all records and commits them to that
+// state only on request. Generate runs it from empty state uncommitted;
+// NewIncremental commits it as a live workload's epoch 0; Incremental.Sync
+// runs it over appended records, bit-identical in union to a from-scratch
+// Generate.
 package blocking
 
 import (

@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -50,8 +51,8 @@ func FuzzSortPacked(f *testing.F) {
 	})
 }
 
-// FuzzLSHEmitsEachPairOnce: the bands of generateLSH, and of an epoch-0
-// deltaLSH (all of whose pairs come from its new×new join), emit each
+// FuzzLSHEmitsEachPairOnce: the bands of Generate's LSH join (an epoch-0
+// delta, all of whose pairs come from its new×new join) emit each
 // candidate in one band only — no duplicate pair at all — and together
 // exactly the distinct pairs that a join emitting every collision in
 // every band, deduped afterwards, would give. Threshold 0 keeps every
@@ -73,19 +74,11 @@ func FuzzLSHEmitsEachPairOnce(f *testing.F) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		gen, err := generateLSH(ctx, s, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc, err := newIncremental(s, opt)
+		pairs, err := Generate(ctx, s, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tokA, tokB, err := s.blockTokens(opt.Attribute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		delta, _, err := inc.deltaLSH(ctx, tokA, tokB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,20 +99,83 @@ func FuzzLSHEmitsEachPairOnce(f *testing.F) {
 		slices.Sort(all)
 		want := slices.Compact(all)
 
-		for name, pairs := range map[string][]Pair{"generateLSH": gen, "epoch-0 deltaLSH": delta} {
-			got := make([]uint64, len(pairs))
-			for i, p := range pairs {
-				got[i] = uint64(p.A)<<32 | uint64(p.B)
+		got := make([]uint64, len(pairs))
+		for i, p := range pairs {
+			got[i] = uint64(p.A)<<32 | uint64(p.B)
+		}
+		slices.Sort(got)
+		for i := 1; i < len(got); i++ {
+			if got[i] == got[i-1] {
+				t.Fatalf("Generate %+v: pair (%d, %d) emitted twice", opt, got[i]>>32, uint32(got[i]))
 			}
-			slices.Sort(got)
-			for i := 1; i < len(got); i++ {
-				if got[i] == got[i-1] {
-					t.Fatalf("%s %+v: pair (%d, %d) emitted twice", name, opt, got[i]>>32, uint32(got[i]))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("Generate %+v: %d distinct pairs, want %d", opt, len(got), len(want))
+		}
+	})
+}
+
+// FuzzIncrementalSplits holds NewIncremental plus every Sync, over random
+// table sizes and 1–3 random append points per table, to the per-pair
+// oracles over the final tables, in both modes: the union of the epochs,
+// sorted, must equal refTokenBlocked or refLSH pair for pair, similarity
+// bits included. Generate is the same join as epoch 0, so these oracles
+// are the only reference for the split that is not the code under test.
+func FuzzIncrementalSplits(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(50), uint8(2), uint8(2), uint8(16), uint8(3))
+	f.Add(int64(2), uint8(0), uint8(70), uint8(1), uint8(1), uint8(4), uint8(0))
+	f.Add(int64(3), uint8(69), uint8(5), uint8(3), uint8(3), uint8(23), uint8(2))
+	f.Add(int64(4), uint8(25), uint8(25), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, na, nb, minShared, rows, bands, threshold uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		fullA, fullB := synthTables(1+int(na)%70, 1+int(nb)%70, seed)
+		// appendPoints returns 1–3 ascending cut points in [0, n], then n:
+		// the table starts as its first cut, and each later one is an append.
+		appendPoints := func(n int) []int {
+			cuts := make([]int, 1+rng.Intn(3))
+			for i := range cuts {
+				cuts[i] = rng.Intn(n + 1)
+			}
+			slices.Sort(cuts)
+			return append(cuts, n)
+		}
+		cutsA, cutsB := appendPoints(len(fullA.Records)), appendPoints(len(fullB.Records))
+		thr := float64(threshold%5) / 10
+		for _, opt := range []Options{
+			{Mode: ModeToken, Attribute: "name", MinShared: 1 + int(minShared)%4, Threshold: thr},
+			{Mode: ModeLSH, Attribute: "name", Rows: 1 + int(rows)%3, Bands: 1 + int(bands)%24, MinShared: int(minShared) % 4, Threshold: thr},
+		} {
+			ta, tb := tablePrefix(fullA, cutsA[0]), tablePrefix(fullB, cutsB[0])
+			s, err := NewScorer(ta, tb, incSpecs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc, got, err := NewIncremental(context.Background(), s, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 1; e < max(len(cutsA), len(cutsB)); e++ {
+				if e < len(cutsA) {
+					appendBatch(t, ta, fullA, cutsA[e-1], cutsA[e])
 				}
+				if e < len(cutsB) {
+					appendBatch(t, tb, fullB, cutsB[e-1], cutsB[e])
+				}
+				delta, err := inc.Sync(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, delta...)
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s %+v: %d distinct pairs, want %d", name, opt, len(got), len(want))
+			sortPairs(got)
+			ref := newRefScorer(t, ta, tb, incSpecs())
+			var want []Pair
+			if opt.Mode == ModeToken {
+				want = refTokenBlocked(t, ref, opt.Attribute, opt.MinShared, opt.Threshold)
+			} else {
+				want = refLSH(t, ref, s.Dict(), opt.Attribute, opt.Rows, opt.Bands, opt.MinShared, opt.Threshold)
 			}
+			requirePairsEqual(t, fmt.Sprintf("%+v cuts A %v B %v", opt, cutsA, cutsB), got, want)
 		}
 	})
 }

@@ -11,12 +11,13 @@ import (
 
 // Incremental maintains candidate generation under table appends. Built
 // over a scorer and one ModeToken or ModeLSH configuration, it retains the
-// blocking state a from-scratch Generate would rebuild — the inverted
+// blocking state a from-scratch Generate builds and drops — the inverted
 // prefix index for ModeToken, the per-band sorted bucket tables for ModeLSH
 // — and, after the scorer's tables grow through records.Table.Append, emits
 // only the delta: candidates pairing a new record with an old one or two
 // new records with each other. Construction is the same delta step run
-// from empty retained state, with every record new.
+// from empty retained state, with every record new, and Generate is that
+// step left uncommitted, so each mode has one join.
 //
 // Equivalence contract, pinned by TestIncrementalEquivalence: the union of
 // the initial pairs and every Sync delta equals — same (A, B) set, same
@@ -33,7 +34,7 @@ import (
 //     fixed total order, and verification against the real token lists
 //     makes the candidate set independent of which order pruned the probes.
 //   - Every candidate is verified (shared-token floor, then the similarity
-//     threshold) and scored exactly as in the from-scratch path.
+//     threshold) and scored by the same code at every epoch.
 //
 // Similarity bits: KindJaccard, KindJaroWinkler and KindLevenshtein scores
 // are pure functions of the record strings. KindCosine accumulates its dot
@@ -52,18 +53,16 @@ type Incremental struct {
 	lenA, lenB int
 
 	// ModeToken state: df is the frozen prefix order (document frequency as
-	// of construction, zero for tokens interned later), postA/postB the
-	// inverted indexes over both tables' prefixes (record ids ascending).
+	// of construction; tokens past its end, interned later, count zero),
+	// postA/postB the inverted indexes over both tables' prefixes (record
+	// ids ascending).
 	df    []int32
 	postA [][]int32
 	postB [][]int32
 
-	// ModeLSH state: fixed band seeds, the verification floor, and per
-	// band the sorted packed (key<<32|record) bucket table of each side,
-	// kept as a large base plus a small sorted tail of appended entries
-	// (see foldTail).
-	seeds        []uint64
-	floor        int
+	// ModeLSH state: per band the sorted packed (key<<32|record) bucket
+	// table of each side, kept as a large base plus a small sorted tail of
+	// appended entries (see foldTail).
 	entA, entB   [][]uint64
 	tailA, tailB [][]uint64
 }
@@ -76,9 +75,10 @@ type Incremental struct {
 const tailFoldRatio = 8
 
 // NewIncremental builds the epoch-0 candidates of the scorer's current
-// tables — bit-identical to Generate(ctx, s, opt) — by running Sync's delta
-// step from empty retained state, so the returned state is ready for
-// future Sync calls. Only ModeToken and ModeLSH support delta maintenance.
+// tables by running Sync's delta step from empty retained state and
+// committing it, so the returned state is ready for future Sync calls. The
+// pairs are Generate(ctx, s, opt)'s, which runs the same step uncommitted.
+// Only ModeToken and ModeLSH support delta maintenance.
 func NewIncremental(ctx context.Context, s *Scorer, opt Options) (*Incremental, []Pair, error) {
 	inc, err := newIncremental(s, opt)
 	if err != nil {
@@ -91,8 +91,8 @@ func NewIncremental(ctx context.Context, s *Scorer, opt Options) (*Incremental, 
 	return inc, pairs, nil
 }
 
-// newIncremental validates opt and returns the empty retained state that
-// NewIncremental's first step fills.
+// newIncremental validates opt and returns the empty retained state whose
+// first delta is the whole join.
 func newIncremental(s *Scorer, opt Options) (*Incremental, error) {
 	if opt.Mode != ModeToken && opt.Mode != ModeLSH {
 		return nil, fmt.Errorf("%w: incremental maintenance needs mode token or lsh, not %q", ErrBadSpec, opt.Mode)
@@ -109,8 +109,6 @@ func newIncremental(s *Scorer, opt Options) (*Incremental, error) {
 		}
 		inc.df = docFreq(s.dict.Len(), tokA, tokB)
 	case ModeLSH:
-		inc.seeds = lshSeeds(opt.Bands)
-		inc.floor = lshFloor(opt)
 		inc.entA = make([][]uint64, opt.Bands)
 		inc.entB = make([][]uint64, opt.Bands)
 		inc.tailA = make([][]uint64, opt.Bands)
@@ -139,68 +137,67 @@ func (inc *Incremental) Sync(ctx context.Context) ([]Pair, error) {
 	return inc.step(ctx)
 }
 
-// step is the one delta step of construction and Sync: it scores the
-// verified candidates involving records past lenA/lenB and only then
-// commits the grown index state and lengths.
+// step is one epoch of construction or Sync: the delta, then its commit.
 func (inc *Incremental) step(ctx context.Context) ([]Pair, error) {
-	tokA, tokB, err := inc.s.blockTokens(inc.opt.Attribute)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		pairs  []Pair
-		commit func()
-	)
-	if inc.opt.Mode == ModeToken {
-		pairs, commit, err = inc.deltaToken(ctx, tokA, tokB)
-	} else {
-		pairs, commit, err = inc.deltaLSH(ctx, tokA, tokB)
-	}
+	pairs, commit, err := inc.delta(ctx)
 	if err != nil {
 		return nil, err
 	}
 	commit()
-	inc.lenA, inc.lenB = len(tokA), len(tokB)
 	return pairs, nil
 }
 
-// deltaToken probes the records past lenA/lenB through the retained prefix
+// delta is the one join of ModeToken and ModeLSH: it scores the verified
+// candidates involving records past lenA/lenB and returns them sorted by
+// (A, B), with the commit that advances the retained state and lengths
+// over those records. Every write to retained state is in the commit, so
+// a delta that fails, or whose commit is dropped (Generate's), leaves the
+// Incremental exactly as it was.
+func (inc *Incremental) delta(ctx context.Context) (pairs []Pair, commit func(), err error) {
+	tokA, tokB, err := inc.s.blockTokens(inc.opt.Attribute)
+	if err != nil {
+		return nil, nil, err
+	}
+	if inc.opt.Mode == ModeToken {
+		return inc.deltaToken(ctx, tokA, tokB)
+	}
+	return inc.deltaLSH(ctx, tokA, tokB)
+}
+
+// deltaToken probes the records past lenA/lenB through the prefix
 // indexes: each new A record against all of B (old via postB, new via a
-// batch-local index), each new B record against old A only — together
-// exactly the pairs that involve at least one new record, with no
-// double-counting, so the scored pairs need no dedupe. The retained
-// indexes are only mutated by the returned commit, so a failed step leaves
-// them at the previous epoch.
+// batch index over the new B prefixes), each new B record against old A
+// only — together exactly the pairs that involve at least one new record,
+// with no double-counting, so the scored pairs need no dedupe. From empty
+// state this is the whole token join: all of A probes all of B through
+// the batch index. The commit files the new prefixes into postA/postB.
 func (inc *Incremental) deltaToken(ctx context.Context, tokA, tokB [][]int32) (pairs []Pair, commit func(), err error) {
-	k := inc.opt.MinShared
 	oldA, oldB := inc.lenA, inc.lenB
-	newA, newB := len(tokA), len(tokB)
-	// Freeze the prefix order over the grown dictionary: tokens interned
-	// after construction keep document frequency zero forever.
 	n := inc.s.dict.Len()
-	inc.df = append(inc.df, make([]int32, n-len(inc.df))...)
-	inc.postA = append(inc.postA, make([][]int32, n-len(inc.postA))...)
-	inc.postB = append(inc.postB, make([][]int32, n-len(inc.postB))...)
-	prefNewA := make([][]int32, newA-oldA)
-	for i := oldA; i < newA; i++ {
-		prefNewA[i-oldA] = tokenPrefix(inc.df, tokA[i], k)
+	prefixes := func(toks [][]int32) (pref [][]int32, size int) {
+		pref = make([][]int32, len(toks))
+		for x, t := range toks {
+			pref[x] = tokenPrefix(inc.df, t, inc.opt.MinShared)
+			size += len(pref[x])
+		}
+		return pref, size
 	}
-	prefNewB := make([][]int32, newB-oldB)
-	for j := oldB; j < newB; j++ {
-		prefNewB[j-oldB] = tokenPrefix(inc.df, tokB[j], k)
-	}
-	// Batch-local inverted index over the new B prefixes, so new-A probes
-	// see new B without mutating the retained postB yet.
-	postNewB := make(map[int32][]int32)
-	for j := oldB; j < newB; j++ {
-		for _, t := range prefNewB[j-oldB] {
-			postNewB[t] = append(postNewB[t], int32(j))
+	prefNewA, _ := prefixes(tokA[oldA:])
+	prefNewB, sizeB := prefixes(tokB[oldB:])
+	// The batch index: the new B prefixes as packed (token<<32|record)
+	// entries, sorted by token (records go in ascending), so a Sync costs
+	// the size of its batch, not of the dictionary.
+	batchB := make([]uint64, 0, sizeB)
+	for x, p := range prefNewB {
+		for _, t := range p {
+			batchB = append(batchB, uint64(t)<<32|uint64(oldB+x))
 		}
 	}
+	sortPacked(batchB, true)
 
 	// New A against all of B (old and new), then new B against old A only:
 	// new-A×new-B pairs were already found by the first probe.
-	fromA, err := inc.probe(ctx, prefNewA, oldA, tokA, tokB, inc.postB, postNewB, true)
+	fromA, err := inc.probe(ctx, prefNewA, oldA, tokA, tokB, inc.postB, batchB, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -208,30 +205,40 @@ func (inc *Incremental) deltaToken(ctx context.Context, tokA, tokB [][]int32) (p
 	if err != nil {
 		return nil, nil, err
 	}
-	pairs = orderPairs([][]Pair{fromA, fromB}, newA)
 	commit = func() {
-		for i := oldA; i < newA; i++ {
-			for _, t := range prefNewA[i-oldA] {
-				inc.postA[t] = append(inc.postA[t], int32(i))
-			}
-		}
-		for j := oldB; j < newB; j++ {
-			for _, t := range prefNewB[j-oldB] {
-				inc.postB[t] = append(inc.postB[t], int32(j))
-			}
+		inc.postA = addPostings(inc.postA, prefNewA, oldA, n)
+		inc.postB = addPostings(inc.postB, prefNewB, oldB, n)
+		inc.lenA, inc.lenB = len(tokA), len(tokB)
+	}
+	// fromA is already in (A, B) order, and fromB is empty without old A
+	// records (at every epoch 0), so only a delta with both needs a merge.
+	if len(fromB) == 0 {
+		return fromA, commit, nil
+	}
+	return orderPairs([][]Pair{fromA, fromB}, len(tokA)), commit, nil
+}
+
+// addPostings grows the token-indexed posting lists post to n tokens and
+// files records base, base+1, ... under their prefix tokens pref, so every
+// list stays ascending.
+func addPostings(post, pref [][]int32, base, n int) [][]int32 {
+	post = append(post, make([][]int32, n-len(post))...)
+	for x, p := range pref {
+		for _, t := range p {
+			post[t] = append(post[t], int32(base+x))
 		}
 	}
-	return pairs, commit, nil
+	return post
 }
 
 // probe is deltaToken's prefix-index probe of the records base,
 // base+1, ... of one table, whose prefixes are pref: a record's candidates
-// are the other table's records listed under its prefix tokens in post or
-// batch that share at least MinShared tokens with it. They are scored right
-// there, as in generateToken, so only pairs at or above the threshold are
-// ever held. probeIsA says which table own is; each record's pairs come
-// back in partner order.
-func (inc *Incremental) probe(ctx context.Context, pref [][]int32, base int, own, other, post [][]int32, batch map[int32][]int32, probeIsA bool) ([]Pair, error) {
+// are the other table's records filed under its prefix tokens in post or
+// in the sorted packed batch, that share at least MinShared tokens with
+// it. They are scored right there, so only pairs at or above the
+// threshold are ever held. probeIsA says which table own is; each
+// record's pairs come back in partner order.
+func (inc *Incremental) probe(ctx context.Context, pref [][]int32, base int, own, other, post [][]int32, batch []uint64, probeIsA bool) ([]Pair, error) {
 	return fanOut(ctx, inc.s, inc.opt.Workers, len(pref), func(sc *Scratch, lo, hi int) ([]Pair, error) {
 		seen := make([]bool, len(other))
 		touched := make([]int32, 0, 64)
@@ -244,12 +251,20 @@ func (inc *Incremental) probe(ctx context.Context, pref [][]int32, base int, own
 			}
 			touched = touched[:0]
 			for _, t := range pref[x] {
-				for _, list := range [2][]int32{post[t], batch[t]} {
-					for _, p := range list {
+				// A token interned since the last commit has no postings yet.
+				if int(t) < len(post) {
+					for _, p := range post[t] {
 						if !seen[p] {
 							seen[p] = true
 							touched = append(touched, p)
 						}
+					}
+				}
+				e, _ := slices.BinarySearch(batch, uint64(t)<<32)
+				for ; e < len(batch) && batch[e]>>32 == uint64(t); e++ {
+					if p := int32(uint32(batch[e])); !seen[p] {
+						seen[p] = true
+						touched = append(touched, p)
 					}
 				}
 			}
@@ -278,54 +293,54 @@ func (inc *Incremental) probe(ctx context.Context, pref [][]int32, base int, own
 // old-A×new-B — every colliding pair that involves a new record. The
 // new×new join has both key matrices at hand, so it meets each pair in its
 // lowest colliding band only (all of an epoch 0) and scores it in place
-// (bandScorer), as generateLSH does. The old sides' keys are not retained
-// (they would cost 4·Bands bytes per record), so a new×old pair comes once
-// per band it collides in: those are verified against the shared-token
-// floor as packed (A<<32)|B keys and handed to scorePacked, whose compact
-// dedupes them. The old sides are probed by binary search per new key
-// (base and tail separately), so a Sync reads only the buckets the new
-// records hash into. The retained tables are only swapped for their grown
-// successors by the returned commit.
+// (bandScorer). The old sides' keys are not retained (they would cost
+// 4·Bands bytes per record), so a new×old pair comes once per band it
+// collides in: those are verified against the shared-token floor as packed
+// (A<<32)|B keys and handed to scorePacked, whose compact dedupes them.
+// The old sides are probed by binary search per new key (base and tail
+// separately), so a Sync reads only the buckets the new records hash into.
+//
+// A band's new entries live only as long as its join. The commit rebuilds
+// them from keysNewA/keysNewB to grow the retained tables: holding every
+// band's entries until the last band finishes would raise an uncommitted
+// delta's (Generate's) peak memory by a full set of band tables.
 func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pairs []Pair, commit func(), err error) {
 	rows, bands := inc.opt.Rows, inc.opt.Bands
 	oldA, oldB := inc.lenA, inc.lenB
-	hashes := inc.s.dict.TokenHashes()
+	hashes, seeds := inc.s.dict.TokenHashes(), lshSeeds(bands)
 	newToksA, newToksB := tokA[oldA:], tokB[oldB:]
-	keysNewA, err := lshBandKeys(ctx, inc.opt.Workers, newToksA, hashes, inc.seeds, rows, bands)
+	keysNewA, err := lshBandKeys(ctx, inc.opt.Workers, newToksA, hashes, seeds, rows, bands)
 	if err != nil {
 		return nil, nil, err
 	}
-	keysNewB, err := lshBandKeys(ctx, inc.opt.Workers, newToksB, hashes, inc.seeds, rows, bands)
+	keysNewB, err := lshBandKeys(ctx, inc.opt.Workers, newToksB, hashes, seeds, rows, bands)
 	if err != nil {
 		return nil, nil, err
+	}
+	newEntries := func(b int) (na, nb []uint64) {
+		return lshBandEntries(newToksA, keysNewA, rows, bands, b, oldA, len(newToksA)),
+			lshBandEntries(newToksB, keysNewB, rows, bands, b, oldB, len(newToksB))
 	}
 	bs := newBandScorer(inc.s, inc.opt, tokA, tokB)
 	type bandDelta struct {
-		probed       []uint64 // new×old candidates, packed
-		scored       []Pair   // new×new pairs at or above the threshold
-		entA, entB   []uint64
-		tailA, tailB []uint64
+		probed []uint64 // new×old candidates, packed
+		scored []Pair   // new×new pairs at or above the threshold
 	}
 	outs, err := parallel.Map(inc.opt.Workers, bands, func(b int) (bandDelta, error) {
 		if err := ctx.Err(); err != nil {
 			return bandDelta{}, err
 		}
-		na := lshBandEntries(newToksA, keysNewA, rows, bands, b, oldA, len(newToksA))
-		nb := lshBandEntries(newToksB, keysNewB, rows, bands, b, oldB, len(newToksB))
+		na, nb := newEntries(b)
 		var d bandDelta
-		keep := floorVisit(&d.probed, tokA, tokB, inc.floor)
+		keep := floorVisit(&d.probed, tokA, tokB, bs.floor)
 		lshProbe(na, inc.entB[b], true, keep)
 		lshProbe(na, inc.tailB[b], true, keep)
 		lshProbe(nb, inc.entA[b], false, keep)
 		lshProbe(nb, inc.tailA[b], false, keep)
 		first := &lowestBand{keysA: keysNewA, keysB: keysNewB, baseA: oldA, baseB: oldB, bands: bands, band: b}
 		var err error
-		if d.scored, err = bs.join(ctx, na, nb, first); err != nil {
-			return bandDelta{}, err
-		}
-		d.entA, d.tailA = foldTail(inc.entA[b], inc.tailA[b], na)
-		d.entB, d.tailB = foldTail(inc.entB[b], inc.tailB[b], nb)
-		return d, nil
+		d.scored, err = bs.join(ctx, na, nb, first)
+		return d, err
 	})
 	if err != nil {
 		return nil, nil, err
@@ -341,10 +356,14 @@ func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pai
 		return nil, nil, err
 	}
 	commit = func() {
-		for b := 0; b < bands; b++ {
-			inc.entA[b], inc.tailA[b] = outs[b].entA, outs[b].tailA
-			inc.entB[b], inc.tailB[b] = outs[b].entB, outs[b].tailB
-		}
+		// Each band only builds and swaps its own tables, so this never fails.
+		_ = parallel.ForEach(inc.opt.Workers, bands, func(b int) error {
+			na, nb := newEntries(b)
+			inc.entA[b], inc.tailA[b] = foldTail(inc.entA[b], inc.tailA[b], na)
+			inc.entB[b], inc.tailB[b] = foldTail(inc.entB[b], inc.tailB[b], nb)
+			return nil
+		})
+		inc.lenA, inc.lenB = len(tokA), len(tokB)
 	}
 	return orderPairs(append(parts, fromOld), len(tokA)), commit, nil
 }
@@ -354,8 +373,12 @@ func (inc *Incremental) deltaLSH(ctx context.Context, tokA, tokB [][]int32) (pai
 // table's bucket with that key and merge-joins the two runs through
 // lshJoin, visiting every colliding pair. probeIsA says which side probe
 // holds, so visit always receives (A, B). The table is never walked
-// outside the buckets the probe hits.
+// outside the buckets the probe hits, and an empty one (all of an epoch
+// 0's) costs nothing.
 func lshProbe(probe, table []uint64, probeIsA bool, visit func(i, j int32) bool) {
+	if len(table) == 0 {
+		return
+	}
 	for x := 0; x < len(probe); {
 		key := probe[x] >> 32
 		x2 := x + 1
@@ -380,8 +403,7 @@ func lshProbe(probe, table []uint64, probeIsA bool, visit func(i, j int32) bool)
 
 // foldTail returns a band table's base and tail after absorbing the sorted
 // new entries: they join the tail, and a tail grown past
-// 1/tailFoldRatio of the base is merged into a fresh base. Neither input
-// slice is modified, so the retained state stays valid until commit.
+// 1/tailFoldRatio of the base is merged into a fresh base.
 func foldTail(base, tail, added []uint64) (newBase, newTail []uint64) {
 	if len(added) == 0 {
 		return base, tail

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -128,9 +130,28 @@ func TestIncrementalEquivalence(t *testing.T) {
 	}
 }
 
+// retained copies the state an Incremental carries between epochs, for
+// checking that a failed Sync writes none of it.
+type retained struct {
+	lenA, lenB, df, postA, postB int
+	bands                        [][4][]uint64 // entA, tailA, entB, tailB
+}
+
+func snapshotRetained(inc *Incremental) retained {
+	r := retained{lenA: inc.lenA, lenB: inc.lenB, df: len(inc.df), postA: len(inc.postA), postB: len(inc.postB)}
+	for b := range inc.entA {
+		r.bands = append(r.bands, [4][]uint64{
+			slices.Clone(inc.entA[b]), slices.Clone(inc.tailA[b]),
+			slices.Clone(inc.entB[b]), slices.Clone(inc.tailB[b]),
+		})
+	}
+	return r
+}
+
 // TestSyncRetryAfterCancel pins Sync's retry contract: a Sync under a
 // canceled context returns context.Canceled and leaves the retained state
-// at the previous epoch, so a retry returns exactly the pairs an
+// exactly as it was — lengths, the token mode's frequency and posting
+// tables, every LSH band table — so a retry returns exactly the pairs an
 // uninterrupted Sync over the same growth returns.
 func TestSyncRetryAfterCancel(t *testing.T) {
 	fullA, fullB := synthTables(90, 110, 35)
@@ -163,10 +184,14 @@ func TestSyncRetryAfterCancel(t *testing.T) {
 				t.Fatal("fixture growth yields no delta pairs")
 			}
 			inc := grow()
+			before := snapshotRetained(inc)
 			canceled, cancel := context.WithCancel(context.Background())
 			cancel()
 			if _, err := inc.Sync(canceled); !errors.Is(err, context.Canceled) {
 				t.Fatalf("canceled Sync returned %v, want context.Canceled", err)
+			}
+			if after := snapshotRetained(inc); !reflect.DeepEqual(after, before) {
+				t.Fatalf("canceled Sync changed the retained state:\n before %+v\n after  %+v", before, after)
 			}
 			got, err := inc.Sync(context.Background())
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"humo/internal/parallel"
-	"humo/internal/similarity"
 )
 
 // Mode selects a candidate-generation strategy.
@@ -86,8 +85,10 @@ type Options struct {
 // is discarded and ctx's error returned).
 //
 // Generate is safe for concurrent use: the scorer is immutable after
-// NewScorer (every shared attribute's token sets are interned up front), so
-// any number of goroutines may generate over one scorer with any options.
+// NewScorer (every shared attribute's token sets are interned up front), and
+// ModeToken and ModeLSH run NewIncremental's epoch-0 delta on a private
+// Incremental per call without committing it, so concurrent calls over one
+// scorer, with any options, share nothing mutable.
 func Generate(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 	if opt.Mode == "" {
 		opt.Mode = ModeCross
@@ -98,13 +99,15 @@ func Generate(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
 	switch opt.Mode {
 	case ModeCross:
 		return generateCross(ctx, s, opt)
-	case ModeToken:
-		return generateToken(ctx, s, opt)
 	case ModeSorted:
 		return generateSorted(ctx, s, opt)
-	default:
-		return generateLSH(ctx, s, opt)
 	}
+	inc, err := newIncremental(s, opt)
+	if err != nil {
+		return nil, err
+	}
+	pairs, _, err := inc.delta(ctx)
+	return pairs, err
 }
 
 // validate checks the mode and its parameters, the checks Generate and
@@ -214,73 +217,6 @@ func (s *Scorer) blockTokens(attribute string) (tokA, tokB [][]int32, err error)
 	return bt.a, bt.b, nil
 }
 
-// generateToken is the inverted-index join. For a shared-token requirement
-// of k, two classical filters prune the candidate space:
-//
-//   - size filter: a record with fewer than k tokens cannot reach overlap k
-//     and is dropped outright;
-//   - prefix filter: order every token list by ascending document frequency
-//     (rarest first, ties by token id). If |a ∩ b| >= k, the first
-//     |a|-k+1 tokens of a and the first |b|-k+1 tokens of b must share at
-//     least one token — so only the prefixes are indexed and probed, and
-//     the full (id-sorted) lists are linear-merged to verify the overlap
-//     of the survivors.
-func generateToken(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
-	tokA, tokB, err := s.blockTokens(opt.Attribute)
-	if err != nil {
-		return nil, err
-	}
-	k := opt.MinShared
-	df := docFreq(s.dict.Len(), tokA, tokB)
-	prefA := make([][]int32, len(tokA))
-	for i, toks := range tokA {
-		prefA[i] = tokenPrefix(df, toks, k)
-	}
-
-	// Inverted index over table B prefixes: postings are built in record
-	// order, so each list is ascending.
-	post := make([][]int32, s.dict.Len())
-	for j, toks := range tokB {
-		for _, t := range tokenPrefix(df, toks, k) {
-			post[t] = append(post[t], int32(j))
-		}
-	}
-
-	nb := len(s.tb.Records)
-	return fanOut(ctx, s, opt.Workers, len(s.ta.Records), func(sc *Scratch, lo, hi int) ([]Pair, error) {
-		seen := make([]bool, nb)
-		touched := make([]int32, 0, 64)
-		var out []Pair
-		for i := lo; i < hi; i++ {
-			if (i-lo)%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			touched = touched[:0]
-			for _, t := range prefA[i] {
-				for _, j := range post[t] {
-					if !seen[j] {
-						seen[j] = true
-						touched = append(touched, j)
-					}
-				}
-			}
-			slices.Sort(touched)
-			for _, j := range touched {
-				seen[j] = false
-				if similarity.IntersectCount(tokA[i], tokB[j]) < k {
-					continue
-				}
-				if sim := s.ScoreWith(sc, i, int(j)); sim >= opt.Threshold {
-					out = append(out, Pair{A: i, B: int(j), Sim: sim})
-				}
-			}
-		}
-		return out, nil
-	})
-}
-
 // docFreq counts, for each of the n token ids, the records of both tables
 // whose distinct token lists contain it: the document frequency that
 // orders ModeToken's prefix filter.
@@ -301,14 +237,23 @@ func docFreq(n int, tokA, tokB [][]int32) []int32 {
 
 // tokenPrefix is ModeToken's size and prefix filter: nil for a record with
 // fewer than k tokens, otherwise the first len-k+1 of its tokens ordered by
-// ascending df, ties by id. Under any one fixed order, two records sharing
-// at least k tokens have intersecting prefixes.
+// ascending df (zero for a token past its end), ties by id. Under any one
+// fixed order, two records sharing at least k tokens have intersecting
+// prefixes, so only prefixes need indexing and probing, and a linear merge
+// of the full id-sorted lists verifies the survivors. Ordering rarest
+// first keeps the prefixes' posting lists short.
 func tokenPrefix(df []int32, toks []int32, k int) []int32 {
 	if len(toks) < k {
 		return nil
 	}
+	freq := func(t int32) int32 {
+		if int(t) < len(df) {
+			return df[t]
+		}
+		return 0
+	}
 	p := append([]int32(nil), toks...)
-	slices.SortFunc(p, func(a, b int32) int { return cmp.Or(cmp.Compare(df[a], df[b]), cmp.Compare(a, b)) })
+	slices.SortFunc(p, func(a, b int32) int { return cmp.Or(cmp.Compare(freq(a), freq(b)), cmp.Compare(a, b)) })
 	return p[:len(p)-k+1]
 }
 

@@ -284,54 +284,6 @@ func (bs *bandScorer) join(ctx context.Context, ea, eb []uint64, first *lowestBa
 	return out, err
 }
 
-// generateLSH is the scored band join over the scorer's full tables. Bands
-// run in parallel: each sorts both tables' packed (key, record) entries,
-// linear-merges equal-key runs, skips a colliding pair that collides in an
-// earlier band (one compare per earlier band on two rows of the key
-// matrix, so each pair is met in its lowest colliding band only), and
-// verifies and scores the rest in place (bandScorer). The bands' kept
-// pairs are disjoint; sorted together they are the (A, B)-ordered output.
-func generateLSH(ctx context.Context, s *Scorer, opt Options) ([]Pair, error) {
-	rows, bands := opt.Rows, opt.Bands
-	tokA, tokB, err := s.blockTokens(opt.Attribute)
-	if err != nil {
-		return nil, err
-	}
-	seeds := lshSeeds(bands)
-	hashes := s.dict.TokenHashes()
-	keysA, err := lshBandKeys(ctx, opt.Workers, tokA, hashes, seeds, rows, bands)
-	if err != nil {
-		return nil, err
-	}
-	keysB, err := lshBandKeys(ctx, opt.Workers, tokB, hashes, seeds, rows, bands)
-	if err != nil {
-		return nil, err
-	}
-	sketched := func(toks [][]int32) int {
-		n := 0
-		for i := range toks {
-			if len(toks[i]) >= rows {
-				n++
-			}
-		}
-		return n
-	}
-	capA, capB := sketched(tokA), sketched(tokB)
-	bs := newBandScorer(s, opt, tokA, tokB)
-	perBand, err := parallel.Map(opt.Workers, bands, func(b int) ([]Pair, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ea := lshBandEntries(tokA, keysA, rows, bands, b, 0, capA)
-		eb := lshBandEntries(tokB, keysB, rows, bands, b, 0, capB)
-		return bs.join(ctx, ea, eb, &lowestBand{keysA: keysA, keysB: keysB, bands: bands, band: b})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return orderPairs(perBand, len(tokA)), nil
-}
-
 // lshFloor is the shared-token count a colliding pair must reach to be
 // scored. Colliding pairs share their bottom-rows tokens by construction;
 // the floor makes that structural guarantee exact (it also holds across
