@@ -1,6 +1,8 @@
 package humo_test
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -102,6 +104,15 @@ func benchWorkload(b *testing.B, n int) (*humo.Workload, map[int]bool) {
 	return w, truth
 }
 
+// coldWorkload rebuilds w outside the timer: an equal workload whose GP fit
+// memo is empty, so that an iteration times every GP fit of its search
+// instead of reading the fits of the iterations before it.
+func coldWorkload(b *testing.B, w *humo.Workload) *humo.Workload {
+	b.StopTimer()
+	defer b.StartTimer()
+	return rebuildWorkload(b, w)
+}
+
 func BenchmarkBaseSearch100k(b *testing.B) {
 	w, truth := benchWorkload(b, 100000)
 	req := humo.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}
@@ -121,7 +132,7 @@ func BenchmarkPartialSampling100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := humo.NewSimulatedOracle(truth)
 		cfg := humo.SamplingConfig{Rand: rand.New(rand.NewSource(int64(i)))}
-		if _, err := humo.PartialSampling(w, req, o, cfg); err != nil {
+		if _, err := humo.PartialSampling(coldWorkload(b, w), req, o, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,7 +145,7 @@ func BenchmarkHybrid100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := humo.NewSimulatedOracle(truth)
 		cfg := humo.HybridConfig{Sampling: humo.SamplingConfig{Rand: rand.New(rand.NewSource(int64(i)))}}
-		if _, err := humo.Hybrid(w, req, o, cfg); err != nil {
+		if _, err := humo.Hybrid(coldWorkload(b, w), req, o, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,10 +155,11 @@ func BenchmarkHybrid100k(b *testing.B) {
 // the full r-HUMO loop — GP fit, rarest-risk-first batch scheduling, the
 // per-batch posterior re-estimation and certified-bound rescans — on a
 // 100k-pair workload. scripts/bench_gate.sh fails a PR when its mean ns/op
-// regresses by more than 20% against the base commit. The Student-t
-// critical values come from the process-wide stats.TTable, so iterations
-// after the first read a warm table; the cold fill is measured on its own
-// by internal/stats' BenchmarkTwoSidedTTable/cold.
+// regresses by more than 20% against the base commit. Each iteration runs
+// on a freshly built workload (coldWorkload), so it fits every GP. The
+// Student-t critical values come from the process-wide stats.TTable, so
+// iterations after the first read a warm table; the cold fill is measured
+// on its own by internal/stats' BenchmarkTwoSidedTTable/cold.
 func BenchmarkRiskSchedule(b *testing.B) {
 	w, truth := benchWorkload(b, 100000)
 	req := humo.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}
@@ -155,7 +167,7 @@ func BenchmarkRiskSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := humo.NewSimulatedOracle(truth)
 		cfg := humo.RiskConfig{Sampling: humo.SamplingConfig{Rand: rand.New(rand.NewSource(int64(i)))}}
-		if _, err := humo.RiskAware(w, req, o, cfg); err != nil {
+		if _, err := humo.RiskAware(coldWorkload(b, w), req, o, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,6 +203,49 @@ func BenchmarkCorrectSchedule(b *testing.B) {
 		if _, _, err := humo.Correct(w, req, o, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSessionRestore restores a finished hybrid session's checkpoint
+// on a 100k-pair workload and replays it to the end: the search re-runs
+// from the label log without surfacing a batch. warm restores on the
+// workload the session ran on, whose GP fit memo already holds every fit
+// of the replay; cold restores on a freshly built equal workload
+// (coldWorkload), which fits every GP again.
+func BenchmarkSessionRestore(b *testing.B) {
+	w, truth := benchWorkload(b, 100000)
+	req := humo.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}
+	cfg := humo.SessionConfig{Method: humo.MethodHybrid, Seed: 1}
+	s, err := humo.NewSession(w, req, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := driveSession(s, truth, 0); err != nil {
+		b.Fatal(err)
+	}
+	var cp bytes.Buffer
+	if err := s.Checkpoint(&cp); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"warm", "cold"} {
+		b.Run(mode, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rw := w
+				if mode == "cold" {
+					rw = coldWorkload(b, w)
+				}
+				r, err := humo.RestoreSession(rw, req, cfg, bytes.NewReader(cp.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if next, err := r.Next(context.Background()); err != nil || !next.Empty() {
+					b.Fatalf("restored session surfaced %d pairs (err %v), want none", len(next.IDs), err)
+				}
+				if r.Solution() != s.Solution() {
+					b.Fatalf("restored solution %+v, want %+v", r.Solution(), s.Solution())
+				}
+			}
+		})
 	}
 }
 

@@ -238,6 +238,12 @@ type gpModel struct {
 // they get no second chance at their error margins; the risk-aware search
 // passes false and lets its schedule buy evidence exactly where the margins
 // turn out to bind.
+//
+// Every fit goes through the workload's GP fit memo (fitmemo.go): a fit
+// whose inputs match an earlier one on this workload bit for bit — the
+// same search at the same seed again, as in a checkpoint→restore replay or
+// the hybrid and risk searches of one seed — returns that fit's regressor,
+// which is the one FitSelect would build again.
 func fitPartialSampling(w *Workload, o Oracle, cfg SamplingConfig, refineVariance bool) (*gpModel, error) {
 	m := w.Subsets()
 	seed := int(math.Ceil(float64(m) * cfg.MinSampleFrac))
@@ -330,7 +336,7 @@ func fitPartialSampling(w *Workload, o Oracle, cfg SamplingConfig, refineVarianc
 			}
 			noise[i] += (d / 2) * (d / 2)
 		}
-		return gp.FitSelect(xs, ys, noise, grid)
+		return w.fits.fitSelect(xs, ys, noise, grid)
 	}
 	reg, err := fit(train)
 	if err != nil {

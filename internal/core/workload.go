@@ -82,6 +82,9 @@ type Workload struct {
 	pairs      []Pair
 	subsetSize int
 	m          int // number of subsets
+	// fits memoizes the GP fits of Algorithm 1 on this workload. It holds
+	// no state a search result or fingerprint depends on.
+	fits *fitMemo
 }
 
 // NewWorkload builds a workload from pairs (copied and sorted ascending by
@@ -106,8 +109,9 @@ func NewWorkload(pairs []Pair, subsetSize int) (*Workload, error) {
 // left unmodified. Only the delta is sorted: it is merged into the
 // existing order with one binary search per delta pair and one linear
 // copy, so growing a large workload by a few pairs costs a copy, not a
-// re-sort. An empty delta returns the receiver itself. Extend does not
-// check ids for collisions; callers that need distinct ids check them.
+// re-sort. The grown workload starts with an empty GP fit memo. An empty
+// delta returns the receiver itself. Extend does not check ids for
+// collisions; callers that need distinct ids check them.
 func (w *Workload) Extend(delta []Pair) (*Workload, error) {
 	if len(delta) == 0 {
 		return w, nil
@@ -156,7 +160,7 @@ func sortedCopy(pairs []Pair, what string) ([]Pair, error) {
 
 func newSortedWorkload(sorted []Pair, subsetSize int) *Workload {
 	m := (len(sorted) + subsetSize - 1) / subsetSize
-	return &Workload{pairs: sorted, subsetSize: subsetSize, m: m}
+	return &Workload{pairs: sorted, subsetSize: subsetSize, m: m, fits: newFitMemo()}
 }
 
 // Len returns the total number of pairs.

@@ -143,6 +143,11 @@ type workloadBundle struct {
 	truthMap map[int]bool
 	truth    []bool // aligned with sorted pair positions
 	refs     []crowd.PairRef
+	// coldFits makes runMethod time each search on its own freshly built
+	// copy of w, whose GP fit memo is empty: the runtime experiments
+	// measure a first search on a workload, not one that reads the fits of
+	// the searches before it.
+	coldFits bool
 }
 
 func newBundle(name string, pairs []datagen.LabeledPair, subsetSize int) (*workloadBundle, error) {
@@ -155,6 +160,26 @@ func newBundle(name string, pairs []datagen.LabeledPair, subsetSize int) (*workl
 }
 
 func (b *workloadBundle) oracle() *oracle.Simulated { return oracle.NewSimulated(b.truthMap) }
+
+// coldCopy returns b with coldFits set.
+func (b *workloadBundle) coldCopy() *workloadBundle {
+	c := *b
+	c.coldFits = true
+	return &c
+}
+
+// searchWorkload returns the workload runMethod searches: w itself, or
+// under coldFits an equal, freshly built one.
+func (b *workloadBundle) searchWorkload() (*core.Workload, error) {
+	if !b.coldFits {
+		return b.w, nil
+	}
+	pairs := make([]core.Pair, b.w.Len())
+	for i := range pairs {
+		pairs[i] = b.w.Pair(i)
+	}
+	return core.NewWorkload(pairs, b.w.SubsetSize())
+}
 
 // subsetSize returns the unit-subset size for the environment: the paper's
 // 200 at full scale, 50 at small scale so the shrunken datasets still span
@@ -270,22 +295,23 @@ func runMethod(b *workloadBundle, method string, req core.Requirement, seed int6
 	o := b.oracle()
 	rng := rand.New(rand.NewSource(seed))
 	sCfg := core.SamplingConfig{Rand: rng, Workers: workers}
-	var (
-		sol core.Solution
-		err error
-	)
+	w, err := b.searchWorkload()
+	if err != nil {
+		return runResult{}, err
+	}
+	var sol core.Solution
 	start := time.Now()
 	switch method {
 	case methodBase:
-		sol, err = core.BaseSearch(b.w, req, o, core.BaseConfig{StartSubset: -1})
+		sol, err = core.BaseSearch(w, req, o, core.BaseConfig{StartSubset: -1})
 	case methodSamp:
-		sol, err = core.PartialSamplingSearch(b.w, req, o, sCfg)
+		sol, err = core.PartialSamplingSearch(w, req, o, sCfg)
 	case methodAllSamp:
-		sol, err = core.AllSamplingSearch(b.w, req, o, sCfg)
+		sol, err = core.AllSamplingSearch(w, req, o, sCfg)
 	case methodHybr:
-		sol, err = core.HybridSearch(b.w, req, o, core.HybridConfig{Sampling: sCfg})
+		sol, err = core.HybridSearch(w, req, o, core.HybridConfig{Sampling: sCfg})
 	case methodRisk:
-		sol, err = core.RiskSearch(b.w, req, o, core.RiskConfig{Sampling: sCfg})
+		sol, err = core.RiskSearch(w, req, o, core.RiskConfig{Sampling: sCfg})
 	default:
 		return runResult{}, fmt.Errorf("%w: method %q", ErrUnknownExperiment, method)
 	}
