@@ -71,6 +71,7 @@ import (
 	"humo/internal/cliutil"
 	"humo/internal/dataio"
 	"humo/internal/records"
+	"humo/internal/serve"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
@@ -759,14 +760,7 @@ func runAppend(server, workload, aPath, bPath string, stdout, stderr io.Writer) 
 	if err != nil {
 		return fail(stderr, err)
 	}
-	req := map[string]any{}
-	if len(rowsA) > 0 {
-		req["rows_a"] = rowsA
-	}
-	if len(rowsB) > 0 {
-		req["rows_b"] = rowsB
-	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(serve.AppendRequest{RowsA: rowsA, RowsB: rowsB})
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -789,15 +783,7 @@ func runAppend(server, workload, aPath, bPath string, stdout, stderr io.Writer) 
 		}
 		return fail(stderr, fmt.Errorf("server refused the append: status %d", res.StatusCode))
 	}
-	var info struct {
-		RecordsA         int    `json:"records_a"`
-		RecordsB         int    `json:"records_b"`
-		Epoch            int    `json:"epoch"`
-		NewPairs         int    `json:"new_pairs"`
-		TotalPairs       int    `json:"total_pairs"`
-		Fingerprint      string `json:"fingerprint"`
-		SessionsExtended int    `json:"sessions_extended"`
-	}
+	var info serve.AppendInfo
 	if err := json.Unmarshal(data, &info); err != nil {
 		return fail(stderr, fmt.Errorf("decoding server response: %w", err))
 	}

@@ -51,8 +51,8 @@
 // configuration, the same seed plus the same answers yield the same
 // schedule — every batch's pair ids in order, and therefore the same
 // Solution and human cost — across runs and across ALL worker counts
-// (RiskScheduleConfig.Workers and SamplingConfig.Workers trade wall-clock
-// time only; risk scores are reduced in ascending subset index order).
+// (RiskScheduleConfig.Workers trades wall-clock time only; risk scores are
+// reduced in ascending subset index order).
 // Checkpoint/RestoreSession therefore replay risk sessions bit-identically,
 // like every other method.
 //
@@ -321,7 +321,7 @@
 // deterministic: repetition seeds are fixed per index and reductions happen
 // in index order, so any worker count produces bit-identical results. The
 // bound applies per fan-out level (concurrent experiments, repetitions
-// within one, the estimator precompute), not globally — nested levels can
+// within one, risk scoring inside a search), not globally — nested levels can
 // briefly oversubscribe, which trades some scheduling overhead for a much
 // simpler determinism story.
 //
@@ -329,7 +329,5 @@
 //     fans each experiment's stochastic repetitions out across up to N
 //     workers, printing output in command-line order regardless of
 //     completion order.
-//   - SamplingConfig.Workers bounds the goroutines of the coherent
-//     Gaussian-process variance precompute (the O(m²) part of Eq. 20).
 //   - humo.Workers normalizes a knob the way the rest of the package does.
 package humo

@@ -93,10 +93,8 @@ type (
 const DefaultSubsetSize = core.DefaultSubsetSize
 
 // Parallelism. Every concurrency knob in the package follows one convention:
-// values <= 0 select the runtime's GOMAXPROCS. SamplingConfig.Workers bounds
-// the goroutines of the coherent Gaussian-process variance precompute
-// (CoherentAggregation), and cmd/humoexp's -parallel flag bounds both
-// concurrent experiments and the repetition fan-out. Every parallel path is
+// values <= 0 select the runtime's GOMAXPROCS. cmd/humoexp's -parallel flag
+// bounds both concurrent experiments and the repetition fan-out. Every parallel path is
 // bit-deterministic: a worker count changes wall-clock time, never results.
 
 // Workers normalizes a worker-count knob: n <= 0 selects GOMAXPROCS,

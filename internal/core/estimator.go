@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"humo/internal/gp"
-	"humo/internal/parallel"
 	"humo/internal/stats"
 )
 
@@ -123,42 +121,22 @@ func clampCount(lo, hi, pop float64) (float64, float64, error) {
 
 // gpEstimator implements rangeEstimator from a fitted Gaussian process over
 // subset centers. Range sums follow Eq. 19 (mean); intervals use the normal
-// critical value of Eq. 21. Two variance models are supported:
+// critical value of Eq. 21. The range variance aggregates per subset:
+// Var = sum_i [ n_i^2 (var_i + noise) + n_i mu_i (1-mu_i) ], treating
+// per-subset posterior errors as independent across subsets and adding the
+// binomial realization noise of the actual labels. In the fitted regime the
+// posterior is observation-noise dominated, so residuals are close to
+// independent — this mirrors how the stratified all-sampling estimator
+// treats its strata.
 //
-//   - independent (default): Var = sum_i [ n_i^2 var_i + n_i mu_i (1-mu_i) ],
-//     treating per-subset posterior errors as independent across subsets and
-//     adding the binomial realization noise of the actual labels. In the
-//     fitted regime the posterior is observation-noise dominated, so
-//     residuals are close to independent — this mirrors how the stratified
-//     all-sampling estimator treats its strata.
-//   - coherent: the literal Eq. 20 with full posterior cross-covariances.
-//     It is far more conservative on pair-heavy flat regions, whose errors
-//     it assumes can float up in unison.
-//
-// Coherent prefix and suffix variances for every split point are precomputed
-// incrementally in O(m·(m+t)) — the O(m²) kernel sums fan out across workers
-// — and mid-range variances for a fixed lower bound are built on demand (the
-// upper-bound scan uses a single lower bound).
-//
-// Interval queries are safe for concurrent use: prefixInterval and
-// suffixInterval only read precomputed state and the (concurrency-safe)
-// critical-value tables, and midInterval guards its lazily rebuilt cache
-// with a mutex. For best performance still prefer one estimator per
-// goroutine — concurrent midInterval queries with different
-// lower bounds thrash the shared cache (correct, but repeatedly rebuilt).
+// Every query reads prefix sums built once by newGPEstimator, so interval
+// queries are safe for concurrent use.
 type gpEstimator struct {
-	reg      *gp.Regressor
-	coherent bool
-	workers  int         // concurrency of the O(m²) precomputes; <= 0 = GOMAXPROCS
-	x        []float64   // subset centers
-	n        []float64   // subset sizes
-	white    [][]float64 // whitened cross-covariance per subset
-	mean     []float64   // posterior mean per subset, clamped to [0,1]
+	n    []float64 // subset sizes
+	mean []float64 // posterior mean per subset, clamped to [0,1]
 
 	prefMean  []float64 // prefix sums of n_i * mean_i, length m+1
 	prefPairs []float64
-	prefVar   []float64 // Var of sum over [0, i)
-	sufVar    []float64 // Var of sum over [i, m)
 	indepVar  []float64 // prefix sums of independent per-subset variance
 
 	// Cluster-sample prefix statistics over the anchor subsets: count of
@@ -166,10 +144,6 @@ type gpEstimator struct {
 	// mean (detrended, so the curve's own variation does not inflate the
 	// between-anchor variance).
 	ancK, ancR, ancR2 []float64
-
-	midMu  sync.Mutex // guards midLo and midVar
-	midLo  int        // lower bound the mid cache is built for (-1 = none)
-	midVar []float64
 
 	// crit holds the critical values of every interval query: Student-t
 	// for clusterInterval, normal for intervalFrom.
@@ -181,41 +155,34 @@ type gpEstimator struct {
 //   - bandVar is the estimated between-subset irregularity variance of the
 //     true proportions around the smooth curve (sigma^2 in the paper's
 //     synthetic generator), measured from adjacent-anchor residuals; it
-//     enters the independent aggregation as an extra per-subset variance
-//     term.
+//     enters the aggregation as an extra per-subset variance term.
 //   - strata holds the sampled (censused) subsets by index: they double as
 //     a cluster sample whose range means are unbiased even when matches are
 //     bursty — a regime where a smooth GP systematically flattens rare
 //     positive observations into the noise.
-//
-// workers bounds the goroutines of the coherent O(m²) variance precomputes;
-// <= 0 selects GOMAXPROCS. The result is bit-identical for every worker
-// count: each subset's kernel sum is accumulated in the same index order,
-// only across goroutines.
-func newGPEstimator(w *Workload, reg *gp.Regressor, coherent bool, bandVar float64, strata map[int]stats.Stratum, workers int) (*gpEstimator, error) {
+func newGPEstimator(w *Workload, reg *gp.Regressor, bandVar float64, strata map[int]stats.Stratum) (*gpEstimator, error) {
 	m := w.Subsets()
 	e := &gpEstimator{
-		reg:       reg,
-		coherent:  coherent,
-		workers:   workers,
-		x:         make([]float64, m),
 		n:         make([]float64, m),
-		white:     make([][]float64, m),
 		mean:      make([]float64, m),
 		prefMean:  make([]float64, m+1),
 		prefPairs: make([]float64, m+1),
-		prefVar:   make([]float64, m+1),
-		sufVar:    make([]float64, m+1),
 		indepVar:  make([]float64, m+1),
 		ancK:      make([]float64, m+1),
 		ancR:      make([]float64, m+1),
 		ancR2:     make([]float64, m+1),
-		midLo:     -1,
 	}
+	// The variance of one subset's realized match count has three parts:
+	// the latent posterior variance of the smooth curve at its center, the
+	// fitted homoscedastic noise (which is how the model represents
+	// per-subset irregularity of the true proportions around the curve —
+	// independent across subsets by construction), and the binomial
+	// realization noise of the labels themselves.
+	noiseVar := reg.Config().NoiseFloor + bandVar
 	for i := 0; i < m; i++ {
-		e.x[i] = w.SubsetMeanSim(i)
+		x := w.SubsetMeanSim(i)
 		e.n[i] = float64(w.SubsetLen(i))
-		mu := reg.PredictMean(e.x[i])
+		mu := reg.PredictMean(x)
 		if mu < 0 {
 			mu = 0
 		}
@@ -223,24 +190,14 @@ func newGPEstimator(w *Workload, reg *gp.Regressor, coherent bool, bandVar float
 			mu = 1
 		}
 		e.mean[i] = mu
-		wv, err := reg.Whiten(e.x[i])
+		pv, err := posteriorVar(reg, x)
 		if err != nil {
 			return nil, err
 		}
-		e.white[i] = wv
-	}
-	// The independent variance of one subset's realized match count has
-	// three parts: the latent posterior variance of the smooth curve at its
-	// center, the fitted homoscedastic noise (which is how the model
-	// represents per-subset irregularity of the true proportions around the
-	// curve — independent across subsets by construction), and the binomial
-	// realization noise of the labels themselves.
-	noiseVar := reg.Config().NoiseFloor + bandVar
-	for i := 0; i < m; i++ {
 		e.prefMean[i+1] = e.prefMean[i] + e.n[i]*e.mean[i]
 		e.prefPairs[i+1] = e.prefPairs[i] + e.n[i]
 		e.indepVar[i+1] = e.indepVar[i] +
-			e.n[i]*e.n[i]*(e.pointVar(i)+noiseVar) +
+			e.n[i]*e.n[i]*(pv+noiseVar) +
 			e.n[i]*e.mean[i]*(1-e.mean[i])
 		e.ancK[i+1] = e.ancK[i]
 		e.ancR[i+1] = e.ancR[i]
@@ -252,90 +209,24 @@ func newGPEstimator(w *Workload, reg *gp.Regressor, coherent bool, bandVar float
 			e.ancR2[i+1] += r * r
 		}
 	}
-	if !e.coherent {
-		return e, nil
-	}
-	// Incremental prefix variances. With S_k = sum_{i<k} n_i f_i:
-	// Var(S_{k+1}) = Var(S_k) + 2 Cov(S_k, n_k f_k) + n_k^2 Var(f_k), and
-	// Cov(S_k, n_k f_k) = n_k (sum_{i<k} n_i K(x_i,x_k) - U_k . w_k) where
-	// U_k = sum_{i<k} n_i w_i. The kernel sums dominate (O(m²) against the
-	// recurrence's O(m·t)) and are independent per k, so they are hoisted
-	// into a parallel precompute.
-	t := 0
-	if m > 0 {
-		t = len(e.white[0])
-	}
-	covPref := e.kernelRangeSums(func(k int) (int, int) { return 0, k })
-	u := make([]float64, t)
-	for k := 0; k < m; k++ {
-		var uw float64
-		for j := 0; j < t; j++ {
-			uw += u[j] * e.white[k][j]
-		}
-		cov := e.n[k] * (covPref[k] - uw)
-		varK := e.pointVar(k)
-		e.prefVar[k+1] = e.prefVar[k] + 2*cov + e.n[k]*e.n[k]*varK
-		if e.prefVar[k+1] < 0 {
-			e.prefVar[k+1] = 0
-		}
-		for j := 0; j < t; j++ {
-			u[j] += e.n[k] * e.white[k][j]
-		}
-	}
-	// Suffix variances, mirrored.
-	covSuf := e.kernelRangeSums(func(k int) (int, int) { return k + 1, m })
-	for j := range u {
-		u[j] = 0
-	}
-	for k := m - 1; k >= 0; k-- {
-		var uw float64
-		for j := 0; j < t; j++ {
-			uw += u[j] * e.white[k][j]
-		}
-		cov := e.n[k] * (covSuf[k] - uw)
-		varK := e.pointVar(k)
-		e.sufVar[k] = e.sufVar[k+1] + 2*cov + e.n[k]*e.n[k]*varK
-		if e.sufVar[k] < 0 {
-			e.sufVar[k] = 0
-		}
-		for j := 0; j < t; j++ {
-			u[j] += e.n[k] * e.white[k][j]
-		}
-	}
 	return e, nil
 }
 
-// kernelRangeSums returns, for every subset k, the pair-weighted kernel sum
-// sum_{i in [bounds(k))} n_i K(x_i, x_k) — the O(m²) half of the coherent
-// variance recurrences. Rows are independent and fan out across the
-// estimator's workers; within a row the accumulation order is always
-// ascending i, so the sums are bit-identical for any worker count.
-func (e *gpEstimator) kernelRangeSums(bounds func(k int) (lo, hiEx int)) []float64 {
-	m := len(e.x)
-	out := make([]float64, m)
-	// fn never fails, so ForEach cannot return an error.
-	_ = parallel.ForEach(e.workers, m, func(k int) error {
-		lo, hiEx := bounds(k)
-		var s float64
-		for i := lo; i < hiEx; i++ {
-			s += e.n[i] * e.reg.KernelValue(e.x[i], e.x[k])
-		}
-		out[k] = s
-		return nil
-	})
-	return out
-}
-
-// pointVar is the posterior variance of subset k's match proportion.
-func (e *gpEstimator) pointVar(k int) float64 {
-	v := e.reg.KernelValue(e.x[k], e.x[k])
-	for _, wj := range e.white[k] {
+// posteriorVar is the GP posterior variance of the match proportion at
+// similarity x: k(x,x) - |L^-1 k(X,x)|^2, clamped at 0.
+func posteriorVar(reg *gp.Regressor, x float64) (float64, error) {
+	wv, err := reg.Whiten(x)
+	if err != nil {
+		return 0, err
+	}
+	v := reg.KernelValue(x, x)
+	for _, wj := range wv {
 		v -= wj * wj
 	}
 	if v < 0 {
 		v = 0
 	}
-	return v
+	return v, nil
 }
 
 // clusterInterval estimates the matching pairs of subsets [a, bEx) as the
@@ -394,11 +285,7 @@ func (e *gpEstimator) prefixInterval(hiEx int, theta float64) (float64, float64,
 	if hiEx <= 0 {
 		return 0, 0, nil
 	}
-	vari := e.indepVar[hiEx]
-	if e.coherent {
-		vari = e.prefVar[hiEx]
-	}
-	gLo, gHi, err := e.intervalFrom(e.prefMean[hiEx], vari, e.prefPairs[hiEx], theta)
+	gLo, gHi, err := e.intervalFrom(e.prefMean[hiEx], e.indepVar[hiEx], e.prefPairs[hiEx], theta)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -406,16 +293,13 @@ func (e *gpEstimator) prefixInterval(hiEx int, theta float64) (float64, float64,
 }
 
 func (e *gpEstimator) suffixInterval(loIn int, theta float64) (float64, float64, error) {
-	m := len(e.x)
+	m := len(e.n)
 	if loIn >= m {
 		return 0, 0, nil
 	}
 	mean := e.prefMean[m] - e.prefMean[loIn]
 	pop := e.prefPairs[m] - e.prefPairs[loIn]
 	vari := e.indepVar[m] - e.indepVar[loIn]
-	if e.coherent {
-		vari = e.sufVar[loIn]
-	}
 	gLo, gHi, err := e.intervalFrom(mean, vari, pop, theta)
 	if err != nil {
 		return 0, 0, err
@@ -427,24 +311,13 @@ func (e *gpEstimator) midInterval(a, b int, theta float64) (float64, float64, er
 	if a > b {
 		return 0, 0, nil
 	}
-	m := len(e.x)
+	m := len(e.n)
 	if a < 0 || b >= m {
 		return 0, 0, fmt.Errorf("%w: mid range [%d,%d] out of [0,%d)", ErrBadWorkload, a, b, m)
 	}
 	mean := e.prefMean[b+1] - e.prefMean[a]
 	pop := e.prefPairs[b+1] - e.prefPairs[a]
 	vari := e.indepVar[b+1] - e.indepVar[a]
-	if e.coherent {
-		// The mid cache is keyed by the lower bound and rebuilt lazily on
-		// query; the lock makes concurrent midInterval calls (one estimator
-		// shared across workers) safe.
-		e.midMu.Lock()
-		if e.midLo != a {
-			e.buildMidCache(a)
-		}
-		vari = e.midVar[b]
-		e.midMu.Unlock()
-	}
 	gLo, gHi, err := e.intervalFrom(mean, vari, pop, theta)
 	if err != nil {
 		return 0, 0, err
@@ -462,42 +335,4 @@ func (e *gpEstimator) boundarySubset(lo, hi int) int {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// buildMidCache computes Var of the sum over [a, b] for every b >= a. The
-// caller must hold midMu. Like the prefix/suffix precomputes, the O(m²)
-// kernel sums fan out across workers while the O(m·t) recurrence stays
-// sequential.
-func (e *gpEstimator) buildMidCache(a int) {
-	m := len(e.x)
-	e.midLo = a
-	e.midVar = make([]float64, m)
-	t := 0
-	if m > 0 {
-		t = len(e.white[0])
-	}
-	covMid := e.kernelRangeSums(func(k int) (int, int) {
-		if k < a {
-			return 0, 0
-		}
-		return a, k
-	})
-	u := make([]float64, t)
-	prev := 0.0
-	for k := a; k < m; k++ {
-		var uw float64
-		for j := 0; j < t; j++ {
-			uw += u[j] * e.white[k][j]
-		}
-		cov := e.n[k] * (covMid[k] - uw)
-		v := prev + 2*cov + e.n[k]*e.n[k]*e.pointVar(k)
-		if v < 0 {
-			v = 0
-		}
-		e.midVar[k] = v
-		prev = v
-		for j := 0; j < t; j++ {
-			u[j] += e.n[k] * e.white[k][j]
-		}
-	}
 }

@@ -13,11 +13,9 @@ import (
 // paper's framework): the sampling configuration of the initial
 // partial-sampling fit plus the schedule knobs of internal/risk.
 type RiskConfig struct {
-	// Sampling configures the initial partial-sampling fit. Its
-	// CoherentAggregation flag shapes only that fit's own estimator; the
-	// risk certification bounds always aggregate their GP part with the
-	// independent per-subset variance (plus the cluster hull) — coherent
-	// cross-covariances are not defined for the scattered unanswered
+	// Sampling configures the initial partial-sampling fit. The risk
+	// certification bounds aggregate its GP part with the same independent
+	// per-subset variance (plus the cluster hull) over the unanswered
 	// subsets that remain once human strata replace GP estimates.
 	Sampling SamplingConfig
 	// Schedule tunes the risk scheduler (batch size, prior strength, the

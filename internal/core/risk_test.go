@@ -97,28 +97,28 @@ func (r *recordingOracle) LabelAll(ids []int) []bool {
 func TestRiskScheduleDeterministic(t *testing.T) {
 	w, truthMap, _ := dsBundle(t)
 	req := core.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}
-	run := func(schedWorkers, sampWorkers int) ([][]int, core.Solution) {
+	run := func(workers int) ([][]int, core.Solution) {
 		o := &recordingOracle{inner: oracle.NewSimulated(truthMap)}
 		sol, err := core.RiskSearch(w, req, o, core.RiskConfig{
-			Sampling: core.SamplingConfig{Rand: rand.New(rand.NewSource(3)), Workers: sampWorkers},
-			Schedule: risk.Config{Workers: schedWorkers},
+			Sampling: core.SamplingConfig{Rand: rand.New(rand.NewSource(3))},
+			Schedule: risk.Config{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return o.log, sol
 	}
-	refLog, refSol := run(1, 1)
+	refLog, refSol := run(1)
 	if len(refLog) == 0 {
 		t.Fatal("no oracle batches recorded")
 	}
-	for _, workers := range [][2]int{{1, 1}, {8, 1}, {1, 8}, {0, 0}} {
-		log, sol := run(workers[0], workers[1])
+	for _, workers := range []int{1, 8, 0} {
+		log, sol := run(workers)
 		if sol != refSol {
-			t.Fatalf("workers %v: solution %v differs from %v", workers, sol, refSol)
+			t.Fatalf("workers %d: solution %v differs from %v", workers, sol, refSol)
 		}
 		if !reflect.DeepEqual(log, refLog) {
-			t.Fatalf("workers %v: schedule diverged", workers)
+			t.Fatalf("workers %d: schedule diverged", workers)
 		}
 	}
 }

@@ -32,15 +32,6 @@ type SamplingConfig struct {
 	// GPNoiseFloor is the homoscedastic noise variance added on top of the
 	// per-subset binomial sampling variance. 0 selects 1e-6.
 	GPNoiseFloor float64
-	// CoherentAggregation selects the literal Eq. 20 aggregate variance with
-	// full posterior cross-covariances instead of the default independent
-	// per-subset aggregation (see gpEstimator). The coherent form is far
-	// more conservative on pair-heavy flat regions.
-	CoherentAggregation bool
-	// Workers bounds the goroutines of the coherent O(m²) variance
-	// precompute; <= 0 selects GOMAXPROCS. Any worker count produces
-	// bit-identical estimates — the knob trades wall-clock time only.
-	Workers int
 	// Rand drives subset sampling. It must be non-nil for partial labeling
 	// (PairsPerSubset > 0); full-subset labeling is deterministic.
 	Rand *rand.Rand
@@ -439,7 +430,7 @@ func fitPartialSampling(w *Workload, o Oracle, cfg SamplingConfig, refineVarianc
 	}
 
 	model.bandVar = bandIrregularity(w, model, anchors)
-	est, err := newGPEstimator(w, reg, cfg.CoherentAggregation, model.bandVar, model.strata, cfg.Workers)
+	est, err := newGPEstimator(w, reg, model.bandVar, model.strata)
 	if err != nil {
 		return nil, err
 	}

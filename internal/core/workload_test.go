@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -294,9 +295,10 @@ func TestStrataEstimatorSampledWidth(t *testing.T) {
 	}
 }
 
-// TestGPEstimatorAgainstBruteForce verifies the incremental prefix/suffix/
-// mid variance computations against the O(m^2) definition computed from the
-// full posterior covariance.
+// TestGPEstimatorAgainstBruteForce verifies the prefix/suffix/mid intervals
+// against a direct per-subset sum of the independent aggregation, computed
+// from the full joint posterior's diagonal rather than from the estimator's
+// prefix sums.
 func TestGPEstimatorAgainstBruteForce(t *testing.T) {
 	w, _ := threshWorkload(t, 300, 20, 0.5) // 15 subsets
 	// Fit a GP on a few centers of the true step function.
@@ -314,7 +316,8 @@ func TestGPEstimatorAgainstBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := newGPEstimator(w, reg, true, 0, nil, 1)
+	const bandVar = 1e-3
+	est, err := newGPEstimator(w, reg, bandVar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,33 +332,52 @@ func TestGPEstimatorAgainstBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	brute := func(a, b int) float64 { // Var of sum over subsets [a,b)
-		var v float64
+	noiseVar := reg.Config().NoiseFloor + bandVar
+	// brute returns the mean, variance and population of subsets [a,b).
+	brute := func(a, b int) (mean, vari, pop float64) {
 		for i := a; i < b; i++ {
-			for j := a; j < b; j++ {
-				v += sizes[i] * sizes[j] * post.Cov.At(i, j)
-			}
+			mu := min(max(post.Mean[i], 0), 1)
+			mean += sizes[i] * mu
+			vari += sizes[i]*sizes[i]*(max(post.Cov.At(i, i), 0)+noiseVar) + sizes[i]*mu*(1-mu)
+			pop += sizes[i]
 		}
-		return v
+		return mean, vari, pop
 	}
-	for i := 0; i <= m; i++ {
-		if got, want := est.prefVar[i], brute(0, i); math.Abs(got-want) > 1e-6*(1+want) {
-			t.Errorf("prefVar[%d] = %v, want %v", i, got, want)
+	const theta = 0.9
+	interior := 0 // intervals the [0, pop] clamp left untouched on both sides
+	check := func(name string, a, b int, gotLo, gotHi float64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got, want := est.sufVar[i], brute(i, m); math.Abs(got-want) > 1e-6*(1+want) {
-			t.Errorf("sufVar[%d] = %v, want %v", i, got, want)
-		}
-	}
-	// Mid variances for a fixed lower bound.
-	a := 4
-	for b := a; b < m; b++ {
-		_, _, err := est.midInterval(a, b, 0.9)
+		mean, vari, pop := brute(a, b)
+		wantLo, wantHi, err := est.intervalFrom(mean, vari, pop, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := est.midVar[b], brute(a, b+1); math.Abs(got-want) > 1e-6*(1+want) {
-			t.Errorf("midVar[%d] (lo=%d) = %v, want %v", b, a, got, want)
+		if math.Abs(gotLo-wantLo) > 1e-6*(1+wantLo) || math.Abs(gotHi-wantHi) > 1e-6*(1+wantHi) {
+			t.Errorf("%s = [%v, %v], want [%v, %v]", name, gotLo, gotHi, wantLo, wantHi)
 		}
+		if wantLo > 0 && wantHi < pop {
+			interior++
+		}
+	}
+	for i := 1; i <= m; i++ {
+		lo, hi, err := est.prefixInterval(i, theta)
+		check(fmt.Sprintf("prefixInterval(%d)", i), 0, i, lo, hi, err)
+	}
+	for i := 0; i < m; i++ {
+		lo, hi, err := est.suffixInterval(i, theta)
+		check(fmt.Sprintf("suffixInterval(%d)", i), i, m, lo, hi, err)
+	}
+	for a := 0; a < m; a += 4 {
+		for b := a; b < m; b++ {
+			lo, hi, err := est.midInterval(a, b, theta)
+			check(fmt.Sprintf("midInterval(%d,%d)", a, b), a, b+1, lo, hi, err)
+		}
+	}
+	if interior < 10 {
+		t.Errorf("only %d intervals escape the [0, pop] clamp; the comparison is vacuous", interior)
 	}
 	// Out-of-range mid query errors.
 	if _, _, err := est.midInterval(0, m, 0.9); err == nil {
@@ -379,7 +401,7 @@ func TestGPEstimatorIntervalProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := newGPEstimator(w, reg, false, 0, nil, 1)
+	est, err := newGPEstimator(w, reg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func (e *Env) compareWithACTL(b *workloadBundle) ([]actlComparison, error) {
 		cmp.target = target
 		for r := 0; r < e.Runs; r++ {
 			seed := e.Seed + int64(r)*104729
-			res, err := runMethod(b, methodHybr, req, seed, e.Workers)
+			res, err := runMethod(b, methodHybr, req, seed)
 			if err != nil {
 				return nil, err
 			}

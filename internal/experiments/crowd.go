@@ -60,7 +60,7 @@ func runCrowdMethod(b *workloadBundle, flat bool, req core.Requirement, seed int
 	o := &crowdOracle{l: l}
 	rng := rand.New(rand.NewSource(seed))
 	sol, err := core.HybridSearch(b.w, req, o, core.HybridConfig{
-		Sampling: core.SamplingConfig{Rand: rng, Workers: workers},
+		Sampling: core.SamplingConfig{Rand: rng},
 	})
 	if err != nil {
 		return runResult{}, crowd.Stats{}, fmt.Errorf("crowd HYBR on %s: %w", b.name, err)

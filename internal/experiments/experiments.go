@@ -284,17 +284,14 @@ const (
 )
 
 // runMethod executes one optimization approach on the bundle with a fresh
-// oracle and evaluates the resolved labeling against ground truth. workers
-// is threaded into the search configuration so the environment's concurrency
-// knob also pins the estimator-level precompute (it defaults to GOMAXPROCS
-// when 0, which matters once a caller enables CoherentAggregation). The
+// oracle and evaluates the resolved labeling against ground truth. The
 // elapsed time covers only the machine search, matching the paper's runtime
 // metric ("the reported runtime does not include ... the latency incurred by
 // human verification").
-func runMethod(b *workloadBundle, method string, req core.Requirement, seed int64, workers int) (runResult, error) {
+func runMethod(b *workloadBundle, method string, req core.Requirement, seed int64) (runResult, error) {
 	o := b.oracle()
 	rng := rand.New(rand.NewSource(seed))
-	sCfg := core.SamplingConfig{Rand: rng, Workers: workers}
+	sCfg := core.SamplingConfig{Rand: rng}
 	w, err := b.searchWorkload()
 	if err != nil {
 		return runResult{}, err
@@ -350,7 +347,7 @@ func (e *Env) avgRuns(b *workloadBundle, method string, req core.Requirement, ru
 		runs = 1
 	}
 	results, err := parallel.Map(e.Workers, runs, func(r int) (runResult, error) {
-		return runMethod(b, method, req, e.Seed+int64(r)*7919, e.Workers)
+		return runMethod(b, method, req, e.Seed+int64(r)*7919)
 	})
 	if err != nil {
 		return avgResult{}, err

@@ -235,7 +235,7 @@ func TestRunMethodUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := core.Requirement{Alpha: 0.9, Beta: 0.9, Theta: 0.9}
-	if _, err := runMethod(b, "NOPE", req, 1, 1); err == nil {
+	if _, err := runMethod(b, "NOPE", req, 1); err == nil {
 		t.Error("unknown method should fail")
 	}
 }

@@ -66,7 +66,7 @@ func Fig12(e *Env) ([]*Table, error) {
 		b = b.coldCopy()
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, m := range []string{methodBase, methodSamp, methodHybr} {
-			res, err := runMethod(b, m, req, e.Seed, e.Workers)
+			res, err := runMethod(b, m, req, e.Seed)
 			if err != nil {
 				return nil, err
 			}

@@ -31,13 +31,6 @@ type Simulated struct {
 	rng       *rand.Rand
 }
 
-// Noisy is a Simulated oracle with symmetric label noise: each pair's human
-// answer is flipped with the configured probability, decided once per pair
-// and then memoized (a human does not flip-flop on the same pair). It
-// supports the §IV discussion of human errors in DH and the corresponding
-// ablation experiment.
-type Noisy = Simulated
-
 // NewSimulated builds an oracle over ground truth: truth[id] reports whether
 // pair id is a matching pair.
 func NewSimulated(truth map[int]bool) *Simulated {
@@ -48,9 +41,13 @@ func NewSimulated(truth map[int]bool) *Simulated {
 	return &Simulated{truth: copied, labeled: make(map[int]bool)}
 }
 
-// NewNoisy builds a noisy oracle. errorRate must be in [0, 1); rng must be
-// non-nil when errorRate > 0.
-func NewNoisy(truth map[int]bool, errorRate float64, rng *rand.Rand) (*Noisy, error) {
+// NewNoisy builds a Simulated oracle with symmetric label noise: each
+// pair's human answer is flipped with probability errorRate, decided once
+// per pair and then memoized (a human does not flip-flop on the same pair).
+// It supports the §IV discussion of human errors in DH and the
+// corresponding ablation experiment. errorRate must be in [0, 1); rng must
+// be non-nil when errorRate > 0.
+func NewNoisy(truth map[int]bool, errorRate float64, rng *rand.Rand) (*Simulated, error) {
 	if errorRate < 0 || errorRate >= 1 {
 		return nil, fmt.Errorf("oracle: error rate %v must be in [0,1)", errorRate)
 	}

@@ -1,7 +1,7 @@
 // Package parallel provides the bounded worker pool underneath every
-// concurrent code path of the repository: experiment repetitions
-// (internal/experiments), whole experiments (cmd/humoexp) and the coherent
-// Gaussian-process variance precompute (internal/core).
+// concurrent code path of the repository, from experiment repetitions
+// (internal/experiments) and whole experiments (cmd/humoexp) to blocking,
+// crowd packing and risk scoring.
 //
 // The pool is deliberately deterministic: work is claimed in index order,
 // results are collected by index, and the error reported on failure is the

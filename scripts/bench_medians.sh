@@ -4,10 +4,9 @@
 # Report-only summary of two `go test -bench` outputs: for every benchmark
 # (whose name matches NAME_REGEX, default all) the median and min-max ns/op
 # over its -count runs in BASE and in HEAD, and the head/base ratio of the
-# medians. A median over a handful of runs shrugs off the one slow run a
-# noisy host produces, which the mean the CI gate decides on
-# (scripts/bench_gate.sh) does not; this script decides nothing and always
-# exits 0 on readable input.
+# medians: the statistic the CI gate (scripts/bench_gate.sh) decides on,
+# here with the spread and for every benchmark. This script decides
+# nothing and always exits 0 on readable input.
 #
 #   sh scripts/bench_medians.sh base.txt head.txt
 #   sh scripts/bench_medians.sh base.txt head.txt 'BenchmarkRisk'

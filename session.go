@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"humo/internal/core"
+	"humo/internal/gp"
 )
 
 // Method names a search a Session can drive.
@@ -812,20 +813,25 @@ type sessionCheckpoint struct {
 // Workers fields are excluded (they trade wall-clock only, never results),
 // and the Rand fields are nil by session invariant. The Risk knobs enter the
 // hash only for MethodRisk, so checkpoints of the other methods keep the
-// fingerprints they were written with.
+// fingerprints they were written with. Sampling knobs render through
+// samplingV1, so the hashed text stays the one existing checkpoints were
+// written with (TestConfigFingerprintPinned pins it).
 func configFingerprint(cfg SessionConfig) string {
-	base := cfg.Base
-	samp := cfg.Sampling
-	samp.Workers = 0
-	hyb := cfg.Hybrid
-	hyb.Sampling.Workers = 0
+	hyb := struct {
+		Sampling samplingV1
+		Window   int
+	}{newSamplingV1(cfg.Hybrid.Sampling), cfg.Hybrid.Window}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%+v|%+v", base, samp, hyb)
+	fmt.Fprintf(h, "%+v|%+v|%+v", cfg.Base, newSamplingV1(cfg.Sampling), hyb)
 	if cfg.Method == MethodRisk {
-		rc := cfg.Risk
-		rc.Sampling.Workers = 0
-		rc.Schedule.Workers = 0
-		rc.Progress = nil // a hook pointer must never enter the hash
+		sched := cfg.Risk.Schedule
+		sched.Workers = 0
+		rc := struct {
+			Sampling    samplingV1
+			Schedule    RiskScheduleConfig
+			BudgetPairs int
+			Progress    func(RiskProgress) // always nil: a hook pointer must never enter the hash
+		}{Sampling: newSamplingV1(cfg.Risk.Sampling), Schedule: sched, BudgetPairs: cfg.Risk.BudgetPairs}
 		fmt.Fprintf(h, "|%+v", rc)
 	}
 	if cfg.Method == MethodCorrect {
@@ -851,6 +857,34 @@ func configFingerprint(cfg SessionConfig) string {
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// samplingV1 mirrors the SamplingConfig field set that config hashes were
+// first written with. Its %+v text is part of the checkpoint format:
+// CoherentAggregation and Workers no longer exist and always render as
+// false and 0.
+type samplingV1 struct {
+	PairsPerSubset      int
+	MinSampleFrac       float64
+	MaxSampleFrac       float64
+	Epsilon             float64
+	GPGrid              []gp.Config
+	GPNoiseFloor        float64
+	CoherentAggregation bool
+	Workers             int
+	Rand                *rand.Rand
+}
+
+func newSamplingV1(c SamplingConfig) samplingV1 {
+	return samplingV1{
+		PairsPerSubset: c.PairsPerSubset,
+		MinSampleFrac:  c.MinSampleFrac,
+		MaxSampleFrac:  c.MaxSampleFrac,
+		Epsilon:        c.Epsilon,
+		GPGrid:         c.GPGrid,
+		GPNoiseFloor:   c.GPNoiseFloor,
+		Rand:           c.Rand,
+	}
 }
 
 // WorkloadFingerprint returns a stable hash of the workload's sorted pair

@@ -1,6 +1,7 @@
 package humo
 
 import (
+	"reflect"
 	"testing"
 
 	"humo/internal/gp"
@@ -81,5 +82,55 @@ func TestConfigFingerprintPinned(t *testing.T) {
 		if got := configFingerprint(cfg); got != want {
 			t.Errorf("%s: schedule Workers moved the config hash %s -> %s", m, want, got)
 		}
+	}
+}
+
+// TestConfigFingerprintCoversKnobs fails when a hashed config struct gains
+// a field that configFingerprint does not render (samplingV1 and the
+// Hybrid/Risk wrappers mirror their structs field by field): moving any
+// leaf knob off its zero value must move the hash. Workers, Rand and
+// Progress are exempt by design.
+func TestConfigFingerprintCoversKnobs(t *testing.T) {
+	for _, c := range []struct {
+		method Method
+		field  string
+	}{
+		{MethodPartialSampling, "Sampling"},
+		{MethodHybrid, "Hybrid"},
+		{MethodRisk, "Risk"},
+	} {
+		cfg := SessionConfig{Method: c.method}
+		base := configFingerprint(cfg)
+		var walk func(v reflect.Value, path string)
+		walk = func(v reflect.Value, path string) {
+			for i := 0; i < v.NumField(); i++ {
+				f, name := v.Field(i), v.Type().Field(i).Name
+				switch name {
+				case "Workers", "Rand", "Progress":
+					continue
+				}
+				p := path + "." + name
+				switch f.Kind() {
+				case reflect.Struct:
+					walk(f, p)
+					continue
+				case reflect.Int:
+					f.SetInt(7)
+				case reflect.Float64:
+					f.SetFloat(0.125)
+				case reflect.Bool:
+					f.SetBool(true)
+				case reflect.Slice:
+					f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+				default:
+					t.Fatalf("%s: unhandled kind %s; extend this guard", p, f.Kind())
+				}
+				if configFingerprint(cfg) == base {
+					t.Errorf("%s does not enter the config hash", p)
+				}
+				f.Set(reflect.Zero(f.Type()))
+			}
+		}
+		walk(reflect.ValueOf(&cfg).Elem().FieldByName(c.field), c.field)
 	}
 }

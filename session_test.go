@@ -452,15 +452,6 @@ func TestRestoreSessionMismatch(t *testing.T) {
 	if _, err := humo.RestoreSession(w, req, bad, bytes.NewReader(cp.Bytes())); !errors.Is(err, humo.ErrCheckpointMismatch) {
 		t.Errorf("search-knob mismatch: %v, want ErrCheckpointMismatch", err)
 	}
-	// Workers only trades wall-clock time; restoring on a machine with a
-	// different worker count must be allowed.
-	ok := cfg
-	ok.Hybrid.Sampling.Workers = 4
-	if s, err := humo.RestoreSession(w, req, ok, bytes.NewReader(cp.Bytes())); err != nil {
-		t.Errorf("Workers change refused: %v", err)
-	} else {
-		s.Cancel()
-	}
 	badReq := req
 	badReq.Alpha = 0.8
 	if _, err := humo.RestoreSession(w, badReq, cfg, bytes.NewReader(cp.Bytes())); !errors.Is(err, humo.ErrCheckpointMismatch) {
