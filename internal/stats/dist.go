@@ -1,9 +1,10 @@
 // Package stats provides the statistical machinery HUMO's sampling-based
 // optimizers rely on: normal and Student-t quantiles (with a process-wide,
 // bit-identical table of Student-t critical values, TTableFor), the
-// regularized incomplete beta function, and stratified random-sampling
-// estimators in the style of Cochran (Sampling Techniques, 3rd ed.), which
-// the paper cites for its error-margin computation (Eq. 12).
+// regularized incomplete beta function, the Stratum record of one sampled
+// subset, and Wilson score intervals. The stratified estimator of Eq. 12
+// (Cochran, Sampling Techniques, 3rd ed.) that combines strata lives in
+// internal/core.
 package stats
 
 import (
