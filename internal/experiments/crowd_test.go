@@ -48,14 +48,36 @@ func TestCrowdCostHeadline(t *testing.T) {
 		}
 	}
 
-	// The headline row, pinned cell by cell. If a legitimate change to the
-	// generator, the search, or the crowd pipeline moves these, re-pin them
-	// — but understand which stage moved first.
-	headline := rows["a=b=0.90"]
-	want := []string{"a=b=0.90", "181.0", "146.0", "19.34", "10.30", "100"}
-	for i, w := range want {
-		if headline[i] != w {
-			t.Errorf("headline DS cell %d = %q, want %q (row %v)", i, headline[i], w, headline[:6])
+	// Every cell, DS and AB at all three levels. If a legitimate change to
+	// the generator, the search, or the crowd pipeline moves these, re-pin
+	// them — but understand which stage moved first.
+	want := [][]string{
+		{"a=b=0.80", "116.0", "126.0", "-8.62", "-20.82", "100", "1480.0", "790.5", "46.59", "41.41", "0"},
+		{"a=b=0.90", "181.0", "146.0", "19.34", "10.30", "100", "1820.0", "1023.5", "43.76", "37.91", "0"},
+		{"a=b=0.95", "241.0", "206.0", "14.52", "5.28", "100", "2110.0", "1104.5", "47.65", "41.97", "0"},
+	}
+	checkCells(t, tbl, want)
+	if len(tbl.Notes) != 1 {
+		t.Errorf("crowdcost notes = %q, want only the legend (flat and crowd success equal everywhere)", tbl.Notes)
+	}
+}
+
+// checkCells compares every cell of tbl against want, row by row.
+func checkCells(t *testing.T, tbl *Table, want [][]string) {
+	t.Helper()
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("%s rows = %d, want %d", tbl.ID, len(tbl.Rows), len(want))
+	}
+	for r, row := range want {
+		if len(tbl.Rows[r]) != len(row) {
+			t.Errorf("%s row %d has %d cells, want %d: %v", tbl.ID, r, len(tbl.Rows[r]), len(row), tbl.Rows[r])
+			continue
+		}
+		for c, w := range row {
+			if got := tbl.Rows[r][c]; got != w {
+				t.Errorf("%s row %d (%s) cell %d (%s) = %q, want %q",
+					tbl.ID, r, row[0], c, tbl.Header[c], got, w)
+			}
 		}
 	}
 }
