@@ -93,18 +93,17 @@
 //	if err != nil { ... }
 //	labels := sol.Resolve(w, oracle) // final labeling; DH goes to the human
 //
-// The Oracle interface is the human: any implementation that answers
-// match/unmatch per pair id works — a simulated ground truth, a review UI,
-// or a crowdsourcing connector. Human cost is the number of distinct pairs
-// the oracle is asked about (OracleCost reads it back). Oracles that also
-// implement BatchOracle receive whole review batches — a unit subset, a
-// per-subset sample — in one call instead of a pair-by-pair trickle.
+// The Oracle interface is the human: any implementation of
+// LabelAll(ids []int) []bool works — a simulated ground truth, a review UI,
+// or a crowdsourcing connector. The searches hand it whole review batches —
+// a unit subset, a per-subset sample, the final DH — one call each, and it
+// answers them in the given order. Human cost is the number of distinct
+// pairs the oracle is asked about (SimulatedOracle.Cost reads it back).
 //
 // # Sessions and the Labeler contract
 //
-// The one-shot searches block inside Oracle.Label, which real human
-// backends cannot serve: they answer in batches, asynchronously, and
-// fallibly. Session runs any of the five searches as a pausable state
+// The one-shot searches block inside Oracle.LabelAll, which real human
+// backends cannot serve: they answer asynchronously and fallibly. Session runs any of the five searches as a pausable state
 // machine instead:
 //
 //	s, err := humo.NewSession(w, req, humo.SessionConfig{Method: humo.MethodHybrid, Seed: 1})
@@ -131,8 +130,8 @@
 //	}
 //
 // and drive a session with Session.Run, which propagates backend failures
-// and ctx cancellation as errors — states the legacy Oracle cannot
-// represent. OracleLabeler adapts a legacy Oracle to the Labeler contract,
+// and ctx cancellation as errors — states an Oracle cannot represent.
+// OracleLabeler adapts an Oracle to the Labeler contract,
 // so Session.Run is the one path from a Labeler into any search.
 //
 // # Crowd-scale labeling

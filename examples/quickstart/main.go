@@ -36,7 +36,8 @@ func main() {
 
 	// 2. The human: here a simulated oracle over the hidden ground truth.
 	// Any implementation of humo.Oracle works — a review UI, a crowd
-	// connector, an expert.
+	// connector, an expert — as long as it answers each batch of pair ids
+	// in the given order.
 	human := humo.NewSimulatedOracle(truth)
 
 	// 3. The quality requirement of Definition 1: precision and recall at

@@ -26,7 +26,8 @@ type (
 	// the human, everything below is machine-unmatch, everything above
 	// machine-match.
 	Solution = core.Solution
-	// Oracle answers match/unmatch per pair id — the human in the loop.
+	// Oracle answers match/unmatch for a batch of pair ids — the human in
+	// the loop.
 	Oracle = core.Oracle
 
 	// BaseConfig configures the monotonicity-based baseline search.
@@ -202,34 +203,15 @@ func FitFellegi(features [][]float64, cfg FellegiConfig) (*FellegiModel, error) 
 
 // Oracles.
 
-// SimulatedOracle is a perfect human over fixed ground truth, with
-// human-cost accounting.
+// SimulatedOracle is a perfect human over fixed ground truth. Its Cost
+// reports the distinct pairs it was asked about — the paper's human-cost
+// metric; Session.Cost keeps the same ledger for interactive resolutions.
 type SimulatedOracle = oracle.Simulated
 
 // NewSimulatedOracle builds a perfect simulated human over the ground truth
 // map (pair id -> is-match).
 func NewSimulatedOracle(truth map[int]bool) *SimulatedOracle {
 	return oracle.NewSimulated(truth)
-}
-
-// Human-cost accounting. Every oracle of this package counts the distinct
-// pairs it was asked about — the paper's human-cost metric — and Session
-// tracks the same ledger for interactive resolutions (Session.Cost).
-
-// CostReporter is implemented by oracles that account human cost: the
-// number of distinct pairs manually inspected so far. SimulatedOracle
-// implements it.
-type CostReporter interface {
-	Cost() int
-}
-
-// OracleCost reports o's human cost when the oracle accounts one. The
-// second return is false for oracles without cost accounting.
-func OracleCost(o Oracle) (int, bool) {
-	if c, ok := o.(CostReporter); ok {
-		return c.Cost(), true
-	}
-	return 0, false
 }
 
 // Quality metrics.

@@ -143,19 +143,30 @@ func probe(w *core.Workload, o core.Oracle, cfg Config, labeled map[int]struct{}
 	if take > n {
 		take = n
 	}
-	matches := 0
-	for _, off := range cfg.Rand.Perm(n)[:take] {
-		p := w.Pair(start + off)
-		if o.Label(p.ID) {
-			matches++
-		}
-		labeled[p.ID] = struct{}{}
-	}
+	matches := countMatches(w, o, labeled, start, cfg.Rand.Perm(n)[:take])
 	lb, _, err := stats.WilsonInterval(matches, take, cfg.Theta)
 	if err != nil {
 		return false, err
 	}
 	return lb >= alpha, nil
+}
+
+// countMatches asks the oracle, in one batch, about the pairs at offsets
+// offs from sorted position start, records them as labeled, and returns how
+// many match.
+func countMatches(w *core.Workload, o core.Oracle, labeled map[int]struct{}, start int, offs []int) int {
+	ids := make([]int, len(offs))
+	for i, off := range offs {
+		ids[i] = w.Pair(start + off).ID
+		labeled[ids[i]] = struct{}{}
+	}
+	matches := 0
+	for _, m := range o.LabelAll(ids) {
+		if m {
+			matches++
+		}
+	}
+	return matches
 }
 
 func binarySearch(w *core.Workload, alpha float64, o core.Oracle, cfg Config) (Result, error) {
@@ -217,14 +228,8 @@ func scanSearch(w *core.Workload, alpha float64, o core.Oracle, cfg Config) (Res
 		if take > n {
 			take = n
 		}
-		for _, off := range cfg.Rand.Perm(n)[:take] {
-			p := w.Pair(start + off)
-			if o.Label(p.ID) {
-				matches++
-			}
-			labeled[p.ID] = struct{}{}
-			sampled++
-		}
+		matches += countMatches(w, o, labeled, start, cfg.Rand.Perm(n)[:take])
+		sampled += take
 		probes++
 		lb, _, err := stats.WilsonInterval(matches, sampled, cfg.Theta)
 		if err != nil {

@@ -69,7 +69,7 @@ func bootstrapStart(w *Workload, o Oracle, take int) int {
 			ids = append(ids, w.Pair(start+i*n/t).ID)
 		}
 		matches := 0
-		for _, m := range labelAll(o, ids) {
+		for _, m := range o.LabelAll(ids) {
 			if m {
 				matches++
 			}

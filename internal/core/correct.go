@@ -144,7 +144,7 @@ func CorrectSearch(w *Workload, req Requirement, o Oracle, cfg CorrectConfig) (S
 			// requirement, so re-enter the loop once more.
 			continue
 		}
-		for i, match := range labelAll(o, ids) {
+		for i, match := range o.LabelAll(ids) {
 			cor.Observe(ids[i], match)
 		}
 		batches++

@@ -628,7 +628,7 @@ func RiskSearch(w *Workload, req Requirement, o Oracle, cfg RiskConfig) (Solutio
 		for i, r := range reqs {
 			ids[i] = r.ID
 		}
-		for i, match := range labelAll(o, ids) {
+		for i, match := range o.LabelAll(ids) {
 			sched.Observe(reqs[i].Subset, match)
 		}
 		answered += len(reqs)

@@ -94,7 +94,7 @@ func sampleSubset(w *Workload, o Oracle, rng *rand.Rand, k, take int) (stats.Str
 		}
 	}
 	matches := 0
-	for _, m := range labelAll(o, ids) {
+	for _, m := range o.LabelAll(ids) {
 		if m {
 			matches++
 		}

@@ -32,43 +32,23 @@ type Pair struct {
 	Sim float64
 }
 
-// Oracle reveals the ground-truth label of a pair on demand. It models the
+// Oracle reveals the ground-truth labels of pairs on demand. It models the
 // human worker of the paper: "the ground-truth labels are originally hidden;
 // whenever manual verification is called for, they are provided to the
 // program" (§VIII-A). Implementations are expected to count distinct labeled
 // pairs so that human cost can be measured.
-type Oracle interface {
-	// Label returns true when the identified pair is a matching pair.
-	Label(id int) bool
-}
-
-// BatchOracle is an Oracle that can label several pairs in one call. The
-// searches funnel every fixed set of label requests (a whole subset, a
-// per-subset sample, a bootstrap probe, the final DH resolution) through
-// LabelAll, so implementations backed by humans or crowds can coalesce a
-// request into one review batch instead of answering pair by pair.
 //
-// LabelAll must return one answer per id, aligned with ids, and must answer
-// the ids in the given order: stochastic oracles memoize per pair, and the
-// order in which fresh pairs consume randomness is part of the package's
-// determinism contract.
-type BatchOracle interface {
-	Oracle
+// The searches funnel every fixed set of label requests (a whole subset, a
+// per-subset sample, a bootstrap probe, the final DH resolution) through one
+// LabelAll call, so implementations backed by humans or crowds see one
+// review batch instead of answering pair by pair.
+type Oracle interface {
+	// LabelAll returns one answer per id, aligned with ids (true for a
+	// matching pair), and must answer the ids in the given order:
+	// stochastic oracles memoize per pair, and the order in which fresh
+	// pairs consume randomness is part of the package's determinism
+	// contract.
 	LabelAll(ids []int) []bool
-}
-
-// labelAll asks the oracle about every id, through the batch path when the
-// oracle provides one and pair by pair otherwise. Both paths answer in id
-// order, so they are interchangeable bit for bit.
-func labelAll(o Oracle, ids []int) []bool {
-	if b, ok := o.(BatchOracle); ok {
-		return b.LabelAll(ids)
-	}
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		out[i] = o.Label(id)
-	}
-	return out
 }
 
 // DefaultSubsetSize is the number of pairs per unit subset used throughout
@@ -240,7 +220,7 @@ func (w *Workload) labelSubset(o Oracle, k int) int {
 		ids = append(ids, p.ID)
 	}
 	matches := 0
-	for _, m := range labelAll(o, ids) {
+	for _, m := range o.LabelAll(ids) {
 		if m {
 			matches++
 		}
@@ -312,7 +292,7 @@ func (s Solution) Resolve(w *Workload, o Oracle) []bool {
 	for i := hStart; i < hEnd; i++ {
 		ids = append(ids, w.pairs[i].ID)
 	}
-	for i, m := range labelAll(o, ids) {
+	for i, m := range o.LabelAll(ids) {
 		labels[hStart+i] = m
 	}
 	for i := hEnd; i < len(labels); i++ {

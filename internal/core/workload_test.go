@@ -27,6 +27,14 @@ func (o *mapOracle) Label(id int) bool {
 	return o.truth[id]
 }
 
+func (o *mapOracle) LabelAll(ids []int) []bool {
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		out[i] = o.Label(id)
+	}
+	return out
+}
+
 func (o *mapOracle) cost() int { return len(o.asked) }
 
 // threshWorkload builds n pairs with sims i/n; pairs above the cut are

@@ -3,8 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
+	"humo"
 	"humo/internal/core"
 	"humo/internal/crowd"
 	"humo/internal/metrics"
@@ -15,39 +15,13 @@ func init() {
 	registry["crowdcost"] = CrowdCost
 }
 
-// crowdOracle adapts a crowd.Labeler to the core.BatchOracle the searches
-// consume, so every label request — whole subsets, per-subset samples, the
-// final DH resolution — flows through the pack/vote/propagate pipeline
-// instead of a perfect reviewer. LabelBatch cannot fail here (the refs cover
-// the whole workload and the context never cancels), but the first error is
-// still latched for the runner to check after the search.
-type crowdOracle struct {
-	l   *crowd.Labeler
-	err error
-}
-
-func (o *crowdOracle) Label(id int) bool { return o.LabelAll([]int{id})[0] }
-
-func (o *crowdOracle) LabelAll(ids []int) []bool {
-	out := make([]bool, len(ids))
-	ans, err := o.l.LabelBatch(context.Background(), ids)
-	if err != nil {
-		if o.err == nil {
-			o.err = err
-		}
-		return out
-	}
-	for i, id := range ids {
-		out[i] = ans[id]
-	}
-	return out
-}
-
-// runCrowdMethod executes the hybrid search on the bundle with a crowd
-// workforce answering every label request, and evaluates the resolved
-// labeling (machine zones + crowd answers in DH) against ground truth.
-// flat selects the CrowdER-free baseline: fixed-size pages, a fixed odd
-// number of votes per pair, no transitive propagation, no escalation.
+// runCrowdMethod executes the hybrid search on the bundle as a session
+// driven by a crowd workforce, so every label request — whole subsets,
+// per-subset samples, the final DH resolution — flows through the
+// pack/vote/propagate pipeline instead of a perfect reviewer, and evaluates
+// the resolved labeling (machine zones + crowd answers in DH) against ground
+// truth. flat selects the CrowdER-free baseline: fixed-size pages, a fixed
+// odd number of votes per pair, no transitive propagation, no escalation.
 func runCrowdMethod(b *workloadBundle, flat bool, req core.Requirement, seed int64, workers int) (runResult, crowd.Stats, error) {
 	l, err := crowd.NewLabeler(b.refs, b.truthMap, crowd.Config{
 		Seed:    seed,
@@ -57,19 +31,15 @@ func runCrowdMethod(b *workloadBundle, flat bool, req core.Requirement, seed int
 	if err != nil {
 		return runResult{}, crowd.Stats{}, err
 	}
-	o := &crowdOracle{l: l}
-	rng := rand.New(rand.NewSource(seed))
-	sol, err := core.HybridSearch(b.w, req, o, core.HybridConfig{
-		Sampling: core.SamplingConfig{Rand: rng},
-	})
+	s, err := humo.NewSession(b.w, req, humo.SessionConfig{Method: humo.MethodHybrid, Seed: seed, Resolve: true})
+	if err != nil {
+		return runResult{}, crowd.Stats{}, err
+	}
+	sol, err := s.Run(context.Background(), l)
 	if err != nil {
 		return runResult{}, crowd.Stats{}, fmt.Errorf("crowd HYBR on %s: %w", b.name, err)
 	}
-	labels := sol.Resolve(b.w, o)
-	if o.err != nil {
-		return runResult{}, crowd.Stats{}, o.err
-	}
-	q, err := metrics.Evaluate(labels, b.truth)
+	q, err := metrics.Evaluate(s.Labels(), b.truth)
 	if err != nil {
 		return runResult{}, crowd.Stats{}, err
 	}

@@ -3,24 +3,15 @@ package humo
 import (
 	"context"
 
-	"humo/internal/core"
 	"humo/internal/crowd"
 )
-
-// BatchOracle is an Oracle that can label several pairs in one call. The
-// searches funnel every fixed set of label requests (a whole unit subset, a
-// per-subset sample, a bootstrap probe, the final DH resolution) through
-// LabelAll, so a human- or crowd-backed implementation sees one review batch
-// instead of a pair-by-pair trickle. See core.BatchOracle for the ordering
-// contract.
-type BatchOracle = core.BatchOracle
 
 // Labeler is the error-aware human contract: a batch of pair ids goes out,
 // a map of match/unmatch answers comes back, and failure is representable —
 // a crowd platform timing out, a reviewer closing the terminal, a context
-// being canceled. Real human backends answer in batches and fallibly; the
-// legacy Oracle interface can express neither, so Labeler is the contract
-// new integrations should implement.
+// being canceled. Real human backends answer fallibly; the Oracle interface
+// cannot report failure, so Labeler is the contract new integrations should
+// implement.
 //
 // LabelBatch must answer every requested id (extra ids are ignored) or
 // return an error. Implementations should honor ctx cancellation.
@@ -39,9 +30,8 @@ func (f LabelerFunc) LabelBatch(ctx context.Context, ids []int) (map[int]bool, e
 	return f(ctx, ids)
 }
 
-// OracleLabeler adapts a legacy Oracle to the Labeler contract. The batch
-// path is used when the oracle provides one; ctx is checked between pairs
-// otherwise, and a canceled ctx surfaces as its error.
+// OracleLabeler adapts an Oracle to the Labeler contract: each batch is one
+// LabelAll call, and a canceled ctx surfaces as its error.
 func OracleLabeler(o Oracle) Labeler { return oracleLabeler{o} }
 
 type oracleLabeler struct{ o Oracle }
@@ -51,17 +41,8 @@ func (a oracleLabeler) LabelBatch(ctx context.Context, ids []int) (map[int]bool,
 		return nil, err
 	}
 	out := make(map[int]bool, len(ids))
-	if b, ok := a.o.(BatchOracle); ok {
-		for i, v := range b.LabelAll(ids) {
-			out[ids[i]] = v
-		}
-		return out, nil
-	}
-	for _, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[id] = a.o.Label(id)
+	for i, v := range a.o.LabelAll(ids) {
+		out[ids[i]] = v
 	}
 	return out, nil
 }

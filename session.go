@@ -338,8 +338,6 @@ type sessionOracle struct {
 	extendCh chan struct{}
 }
 
-func (a *sessionOracle) Label(id int) bool { return a.LabelAll([]int{id})[0] }
-
 func (a *sessionOracle) LabelAll(ids []int) []bool {
 	s := a.s
 	s.mu.Lock()

@@ -536,19 +536,6 @@ func TestSessionConfigValidation(t *testing.T) {
 	}
 }
 
-// TestOracleCost covers the public cost getter.
-func TestOracleCost(t *testing.T) {
-	o := humo.NewSimulatedOracle(map[int]bool{1: true, 2: false})
-	o.Label(1)
-	if c, ok := humo.OracleCost(o); !ok || c != 1 {
-		t.Errorf("OracleCost = %d,%v, want 1,true", c, ok)
-	}
-	type bare struct{ humo.Oracle }
-	if _, ok := humo.OracleCost(bare{}); ok {
-		t.Error("cost reported for an oracle without accounting")
-	}
-}
-
 // TestSessionAnswerEmptyNoOp pins the documented no-op contract: an empty
 // (or nil) Answer records nothing, leaves the surfaced batch intact, and
 // returns nil even on a terminated session — it must never consume a poll
