@@ -53,20 +53,8 @@ func newStrataEstimator(strata []stats.Stratum) (*strataEstimator, error) {
 		if s.Size > 0 && s.Sampled == 0 {
 			return nil, fmt.Errorf("%w: subset %d unsampled in all-sampling estimator", ErrBadWorkload, i)
 		}
-		n, si := float64(s.Size), float64(s.Sampled)
-		p := s.Proportion()
-		var v, d float64
-		if s.Sampled > 1 {
-			fpc := 1 - si/n
-			if fpc < 0 {
-				fpc = 0
-			}
-			v = n * n * fpc * p * (1 - p) / (si - 1)
-			d = si - 1
-		} else if s.Sampled == 1 {
-			v = n * n * (1 - si/n) * 0.25
-		}
-		e.mean[i+1] = e.mean[i] + n*p
+		mean, v, d := s.Total()
+		e.mean[i+1] = e.mean[i] + mean
 		e.vari[i+1] = e.vari[i] + v
 		e.df[i+1] = e.df[i] + d
 		e.pairs[i+1] = e.pairs[i] + s.Size

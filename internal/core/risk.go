@@ -243,22 +243,11 @@ func (e *riskEstimator) refresh() {
 		if st.Sampled == 0 {
 			continue
 		}
-		n, si := float64(st.Size), float64(st.Sampled)
-		p := st.Proportion()
-		e.sMean[k+1] += n * p
-		e.sPairs[k+1] += n
-		if st.Sampled > 1 {
-			fpc := 1 - si/n
-			if fpc < 0 {
-				fpc = 0
-			}
-			e.sVar[k+1] += n * n * fpc * p * (1 - p) / (si - 1)
-			e.sDF[k+1] += si - 1
-		} else {
-			// A single answer carries no variance information; assume the
-			// maximal Bernoulli variance, as the stratified estimator does.
-			e.sVar[k+1] += n * n * (1 - si/n) * 0.25
-		}
+		mean, v, d := st.Total()
+		e.sMean[k+1] += mean
+		e.sPairs[k+1] += float64(st.Size)
+		e.sVar[k+1] += v
+		e.sDF[k+1] += d
 	}
 	for k := kG; k < e.m; k++ {
 		e.gMean[k+1], e.gVar[k+1], e.gPairs[k+1] = e.gMean[k], e.gVar[k], e.gPairs[k]

@@ -372,21 +372,12 @@ func (c *Corrector) groupBound(match bool, thetaQ float64) (wrongHi float64, unv
 			zeroU += st.Size
 			continue
 		}
-		n, a := float64(st.Size), float64(st.Sampled)
-		p := st.Proportion()
-		mean += n * p
+		m, v, d := st.Total()
+		mean += m
+		varSum += v
+		df += d
 		observed += st.Matches // scheduler "matches" count wrong answers here
 		sampledU += st.Size - st.Sampled
-		if st.Sampled > 1 {
-			fpc := 1 - a/n
-			if fpc < 0 {
-				fpc = 0
-			}
-			varSum += n * n * fpc * p * (1 - p) / (a - 1)
-			df += a - 1
-		} else {
-			varSum += n * n * (1 - a/n) * 0.25
-		}
 	}
 	unverified = sampledU + zeroU
 	residual := 0.0

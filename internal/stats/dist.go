@@ -2,9 +2,9 @@
 // optimizers rely on: normal and Student-t quantiles (with a process-wide,
 // bit-identical table of Student-t critical values, TTableFor), the
 // regularized incomplete beta function, the Stratum record of one sampled
-// subset, and Wilson score intervals. The stratified estimator of Eq. 12
-// (Cochran, Sampling Techniques, 3rd ed.) that combines strata lives in
-// internal/core.
+// subset with its term of Eq. 12 (Stratum.Total), and Wilson score
+// intervals. The stratified estimator of Eq. 12 (Cochran, Sampling
+// Techniques, 3rd ed.) that combines strata lives in internal/core.
 package stats
 
 import (

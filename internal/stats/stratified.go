@@ -22,6 +22,27 @@ func (s Stratum) Proportion() float64 {
 	return float64(s.Matches) / float64(s.Sampled)
 }
 
+// Total returns the stratum's term of the stratified estimator (Eq. 12):
+// the estimated match total n·p, its finite-population-corrected variance
+// and its degrees of freedom. A single answer carries no variance
+// information, so it gets the maximal Bernoulli variance and no degrees of
+// freedom; an unsampled stratum contributes nothing.
+func (s Stratum) Total() (mean, variance, df float64) {
+	n, si := float64(s.Size), float64(s.Sampled)
+	p := s.Proportion()
+	switch {
+	case s.Sampled > 1:
+		fpc := 1 - si/n
+		if fpc < 0 {
+			fpc = 0
+		}
+		return n * p, n * n * fpc * p * (1 - p) / (si - 1), si - 1
+	case s.Sampled == 1:
+		return n * p, n * n * (1 - si/n) * 0.25, 0
+	}
+	return 0, 0, 0
+}
+
 // Validate reports whether the stratum is internally consistent.
 func (s Stratum) Validate() error {
 	switch {

@@ -36,6 +36,28 @@ func TestStratumProportion(t *testing.T) {
 	}
 }
 
+func TestStratumTotal(t *testing.T) {
+	cases := []struct {
+		s                  Stratum
+		mean, variance, df float64
+	}{
+		// n·p = 50; variance 200²·(1-40/200)·0.25·0.75/39; df 39.
+		{Stratum{Size: 200, Sampled: 40, Matches: 10}, 50, 200 * 200 * 0.8 * 0.25 * 0.75 / 39, 39},
+		// A census has no sampling variance left.
+		{Stratum{Size: 200, Sampled: 200, Matches: 30}, 30, 0, 199},
+		// One answer: maximal Bernoulli variance, no degrees of freedom.
+		{Stratum{Size: 100, Sampled: 1, Matches: 1}, 100, 100 * 100 * 0.99 * 0.25, 0},
+		{Stratum{Size: 100}, 0, 0, 0},
+	}
+	for _, c := range cases {
+		mean, variance, df := c.s.Total()
+		if mean != c.mean || math.Abs(variance-c.variance) > 1e-9*c.variance || df != c.df {
+			t.Errorf("%+v.Total() = (%v, %v, %v), want (%v, %v, %v)",
+				c.s, mean, variance, df, c.mean, c.variance, c.df)
+		}
+	}
+}
+
 func TestWilsonInterval(t *testing.T) {
 	lo, hi, err := WilsonInterval(50, 100, 0.95)
 	if err != nil {
