@@ -161,9 +161,7 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 
 	var hc serve.HandlerConfig
 	if *logRequests {
-		logCfg := obs.DefaultConfig()
-		logCfg.Interval = *logEvery
-		hc.Log = obs.NewLogger(stderr, logCfg)
+		hc.Log = obs.NewLogger(stderr, obs.Config{Interval: *logEvery})
 	}
 
 	// Long-polls block on their request context, which derives from

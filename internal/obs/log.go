@@ -12,30 +12,27 @@ import (
 // getstats-sampling pattern: steady-state traffic is thinned to every Nth
 // event, but the events just before and after an interesting one are kept
 // at full resolution so an operator sees the lead-up, not only the spike.
+// Interval 1 logs every event.
 type Config struct {
-	Enabled       bool // enable adaptive sampling (false logs every event)
-	Interval      int  // keep every Nth steady-state event (default 10)
-	ContextBefore int  // suppressed events replayed before an interesting one (default 2)
-	ContextAfter  int  // full-resolution events after an interesting one (default 2)
-	SteadyState   bool // annotate sampled entries with the suppressed count (default true)
+	Interval int // keep every Nth steady-state event (<= 0 selects 10)
 }
 
-// DefaultConfig returns the recommended sampling defaults.
-func DefaultConfig() Config {
-	return Config{
-		Enabled:       true,
-		Interval:      10,
-		ContextBefore: 2,
-		ContextAfter:  2,
-		SteadyState:   true,
-	}
-}
+const (
+	// contextBefore is the number of dropped events replayed before an
+	// interesting one.
+	contextBefore = 2
+	// contextAfter is the number of full-resolution events after an
+	// interesting one.
+	contextAfter = 2
+)
 
 // Logger writes structured JSON log lines (one object per line) with
 // adaptive steady-state sampling. Event logs a steady-state occurrence that
 // the sampler may drop; Interesting always logs, first replaying up to
-// ContextBefore of the most recently dropped events (tagged "ctx":"before")
-// and then disabling sampling for the next ContextAfter events.
+// contextBefore of the most recently dropped events (tagged "ctx":"before")
+// and then disabling sampling for the next contextAfter events. Every
+// emitted steady-state line carries the number of events dropped since the
+// previous line.
 type Logger struct {
 	cfg Config
 
@@ -45,7 +42,7 @@ type Logger struct {
 	sinceKeep int     // steady-state events since the last kept one
 	skipped   int64   // dropped events since the last emitted line
 	afterLeft int     // full-resolution events still owed after an interesting one
-	ring      []entry // last ContextBefore dropped events
+	ring      []entry // last contextBefore dropped events
 }
 
 type entry struct {
@@ -60,12 +57,6 @@ func NewLogger(w io.Writer, cfg Config) *Logger {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10
 	}
-	if cfg.ContextBefore < 0 {
-		cfg.ContextBefore = 0
-	}
-	if cfg.ContextAfter < 0 {
-		cfg.ContextAfter = 0
-	}
 	return &Logger{cfg: cfg, w: w}
 }
 
@@ -75,7 +66,7 @@ type line struct {
 	Seq     uint64         `json:"seq"`
 	Event   string         `json:"event"`
 	Ctx     string         `json:"ctx,omitempty"`     // "before" for replayed context
-	Skipped int64          `json:"skipped,omitempty"` // dropped since last line (SteadyState)
+	Skipped int64          `json:"skipped,omitempty"` // dropped since last line
 	Fields  map[string]any `json:"fields,omitempty"`
 }
 
@@ -90,9 +81,7 @@ func (l *Logger) emitLocked(ts time.Time, event, ctx string, fields map[string]a
 		Fields: fields,
 	}
 	if ctx == "" {
-		if l.cfg.SteadyState {
-			out.Skipped = l.skipped
-		}
+		out.Skipped = l.skipped
 		l.skipped = 0
 	} else if l.skipped > 0 {
 		l.skipped-- // a replayed context line is no longer a dropped one
@@ -112,10 +101,6 @@ func (l *Logger) Event(event string, fields map[string]any) {
 	now := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.cfg.Enabled {
-		l.emitLocked(now, event, "", fields)
-		return
-	}
 	if l.afterLeft > 0 {
 		l.afterLeft--
 		l.emitLocked(now, event, "", fields)
@@ -129,18 +114,16 @@ func (l *Logger) Event(event string, fields map[string]any) {
 	}
 	// Dropped: remember it for the before-context window.
 	l.skipped++
-	if l.cfg.ContextBefore > 0 {
-		if len(l.ring) == l.cfg.ContextBefore {
-			copy(l.ring, l.ring[1:])
-			l.ring = l.ring[:len(l.ring)-1]
-		}
-		l.ring = append(l.ring, entry{ts: now, event: event, fields: fields})
+	if len(l.ring) == contextBefore {
+		copy(l.ring, l.ring[1:])
+		l.ring = l.ring[:len(l.ring)-1]
 	}
+	l.ring = append(l.ring, entry{ts: now, event: event, fields: fields})
 }
 
-// Interesting logs an event unconditionally: the last ContextBefore dropped
+// Interesting logs an event unconditionally: the last contextBefore dropped
 // events are replayed first (tagged "ctx":"before"), the event itself is
-// written, and the next ContextAfter steady-state events bypass sampling.
+// written, and the next contextAfter steady-state events bypass sampling.
 func (l *Logger) Interesting(event string, fields map[string]any) {
 	if l == nil || l.w == nil {
 		return
@@ -153,7 +136,5 @@ func (l *Logger) Interesting(event string, fields map[string]any) {
 	}
 	l.ring = l.ring[:0]
 	l.emitLocked(now, event, "", fields)
-	if l.cfg.Enabled {
-		l.afterLeft = l.cfg.ContextAfter
-	}
+	l.afterLeft = contextAfter
 }

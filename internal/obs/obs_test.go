@@ -263,11 +263,11 @@ func readLines(t *testing.T, buf *bytes.Buffer) []line {
 
 // TestLoggerSampling pins the adaptive sampler: every Interval-th
 // steady-state event is kept with the skipped count, an Interesting event
-// replays the ContextBefore window and opens a full-resolution ContextAfter
-// window.
+// replays the 2-event before window and opens a 2-event full-resolution
+// after window.
 func TestLoggerSampling(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, Config{Enabled: true, Interval: 5, ContextBefore: 2, ContextAfter: 2, SteadyState: true})
+	l := NewLogger(&buf, Config{Interval: 5})
 
 	// 10 steady events with Interval 5: lines 5 and 10 survive, each
 	// reporting 4 skipped.
@@ -328,10 +328,10 @@ func TestLoggerSampling(t *testing.T) {
 	}
 }
 
-// TestLoggerDisabledSampling: Enabled=false logs every event.
+// TestLoggerDisabledSampling: Interval 1 logs every event.
 func TestLoggerDisabledSampling(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, Config{Enabled: false})
+	l := NewLogger(&buf, Config{Interval: 1})
 	for i := 0; i < 7; i++ {
 		l.Event("tick", nil)
 	}
@@ -345,7 +345,7 @@ func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
 	l.Event("tick", nil)
 	l.Interesting("boom", nil)
-	l2 := NewLogger(nil, DefaultConfig())
+	l2 := NewLogger(nil, Config{})
 	l2.Event("tick", nil)
 	l2.Interesting("boom", nil)
 }
@@ -354,7 +354,7 @@ func TestLoggerNilSafe(t *testing.T) {
 // lines must stay valid JSON with unique sequence numbers.
 func TestLoggerConcurrent(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&safeWriter{w: &buf}, DefaultConfig())
+	l := NewLogger(&safeWriter{w: &buf}, Config{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
