@@ -472,6 +472,3 @@ func (c *Corrector) Answered() int { return len(c.verified) }
 func (c *Corrector) VerifiedIDs() []int {
 	return append([]int(nil), c.verified...)
 }
-
-// Strata returns the number of confidence strata under schedule.
-func (c *Corrector) Strata() int { return len(c.strata) }

@@ -38,10 +38,6 @@ func NewPool(workers int, seed int64, errLo, errHi float64) (*Pool, error) {
 // Workers returns the workforce size.
 func (p *Pool) Workers() int { return len(p.err) }
 
-// ErrorRate returns worker w's true per-answer error rate (evaluation and
-// test use; the aggregator estimates it from behavior instead).
-func (p *Pool) ErrorRate(w int) float64 { return p.err[w] }
-
 // Vote is one worker's answer on one pair.
 type Vote struct {
 	Worker int

@@ -26,18 +26,15 @@ type Record struct {
 // Table is a named collection of records over a fixed attribute schema.
 //
 // A Table built once is immutable by convention; the streaming path grows
-// it through Append, which validates each batch and records a versioned
-// snapshot boundary so downstream consumers (incremental blocking, session
-// extension) can reason about "the table as of version v" as the prefix
-// Records[:SnapshotLen(v)].
+// it through Append, which validates each batch, only ever adds records at
+// the end and bumps the table's version by one.
 type Table struct {
 	Name       string
 	Attributes []string
 	Records    []Record
 
-	// verLens[v] is len(Records) as of version v. Nil until the first
-	// Append; a nil chain means version 0 covers all records.
-	verLens []int
+	// version counts successful Appends.
+	version int
 	// idSeen indexes Records by id for Append's duplicate check. Built
 	// lazily on first Append from the records present at that point.
 	idSeen map[int]struct{}
@@ -123,32 +120,7 @@ func (t *Table) Append(recs ...Record) (version int, err error) {
 	for id := range batch {
 		t.idSeen[id] = struct{}{}
 	}
-	if t.verLens == nil {
-		t.verLens = []int{len(t.Records)}
-	}
 	t.Records = append(t.Records, recs...)
-	t.verLens = append(t.verLens, len(t.Records))
-	return len(t.verLens) - 1, nil
-}
-
-// Version returns the table's current version: 0 as constructed, bumped by
-// one per Append.
-func (t *Table) Version() int {
-	if t.verLens == nil {
-		return 0
-	}
-	return len(t.verLens) - 1
-}
-
-// SnapshotLen returns len(Records) as of version v, so Records[:SnapshotLen(v)]
-// is the table's state when that version was current. It panics on a version
-// the table never had.
-func (t *Table) SnapshotLen(v int) int {
-	if v == 0 && t.verLens == nil {
-		return len(t.Records)
-	}
-	if v < 0 || v >= len(t.verLens) {
-		panic(fmt.Sprintf("records: table %q has no version %d", t.Name, v))
-	}
-	return t.verLens[v]
+	t.version++
+	return t.version, nil
 }

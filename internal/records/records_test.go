@@ -73,3 +73,23 @@ func TestColumnPanicsOutOfRange(t *testing.T) {
 	}()
 	validTable().Column(5)
 }
+
+func TestAppendVersions(t *testing.T) {
+	tb := &Table{Name: "t", Attributes: []string{"name"}, Records: []Record{{ID: 1, Values: []string{"a"}}}}
+	if v, err := tb.Append(Record{ID: 2, Values: []string{"b"}}); err != nil || v != 1 {
+		t.Fatalf("first Append = %d, %v; want version 1", v, err)
+	}
+	if v, err := tb.Append(); err != nil || v != 2 {
+		t.Fatalf("empty Append = %d, %v; want version 2", v, err)
+	}
+	// A batch that duplicates an id fails whole: no record, no version.
+	if _, err := tb.Append(Record{ID: 3, Values: []string{"c"}}, Record{ID: 1, Values: []string{"x"}}); !errors.Is(err, ErrBadTable) {
+		t.Fatalf("duplicate Append err = %v, want ErrBadTable", err)
+	}
+	if tb.Len() != 2 {
+		t.Fatalf("Len after failed Append = %d, want 2", tb.Len())
+	}
+	if v, err := tb.Append(Record{ID: 3, Values: []string{"c"}}); err != nil || v != 3 {
+		t.Fatalf("Append after failure = %d, %v; want version 3", v, err)
+	}
+}
