@@ -353,8 +353,8 @@ func (c *Corrector) Observe(id int, match bool) {
 
 // groupBound bounds the wrong machine labels hiding among the unverified
 // pairs of one predicted-label group at per-quantity confidence thetaQ. The
-// stratified mean/variance aggregation mirrors internal/core's risk
-// estimator: per sampled stratum the total-wrong estimate is n*p with
+// stratified mean/variance aggregation is internal/core's risk estimator's:
+// per sampled stratum Stratum.Total gives the total-wrong estimate n*p with
 // finite-population-corrected variance (maximal Bernoulli variance for a
 // single answer), degrees of freedom pool across strata, and the Student-t
 // upper endpoint is clamped to [observed wrong, observed wrong + unverified]
